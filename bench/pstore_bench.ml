@@ -182,7 +182,6 @@ let sections ~budget_s =
   let stabilise =
     in_temp_store (fun path ->
         let s = Workloads.store_with_objects 1000 in
-        Store.configure s { (Store.config s) with Store.Config.durability = Store.Journalled };
         Store.stabilise ~path s;
         let tick = ref 0 in
         let r =
@@ -200,7 +199,6 @@ let sections ~budget_s =
   let stabilise_txn ~window ~name =
     in_temp_store (fun path ->
         let s = Workloads.store_with_objects 1000 in
-        Store.configure s { (Store.config s) with Store.Config.durability = Store.Journalled };
         Store.set_group_window s window;
         Store.stabilise ~path s;
         let oid = Store.alloc_record s "T" [| Pvalue.Int 0l; Pvalue.Null |] in
@@ -274,7 +272,6 @@ let sections ~budget_s =
                (fun o -> Manifest.shard_of_oid ~count:4 o = 0)
                (Array.to_seq oids))
         in
-        Store.configure s { (Store.config s) with Store.Config.durability = Store.Journalled };
         Store.set_group_window s 8;
         Store.configure s { (Store.config s) with Store.Config.compaction_limit = 0 };
         Store.stabilise ~path s;

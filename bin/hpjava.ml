@@ -56,8 +56,8 @@ let init_cmd =
       value & flag
       & info [ "journalled" ]
           ~doc:
-            "Use write-ahead-journal durability (persists across sessions; every later \
-             stabilise appends a fsynced delta instead of rewriting the image)")
+            "Accepted for compatibility and ignored: every store journals (each stabilise \
+             after the first appends a fsynced delta instead of rewriting the image)")
   in
   let shards_arg =
     Arg.(
@@ -69,13 +69,12 @@ let init_cmd =
              then run shard-wise on a domain pool.  1 (the default) keeps the flat \
              single-file layout")
   in
-  let run path journalled shards =
+  let run path _journalled shards =
     if shards < 1 then begin
       Printf.eprintf "hpjava: --shards must be >= 1\n";
       exit 2
     end;
     let store, vm = session_of ~create:true ~shards path in
-    if journalled then Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
     Store.stabilise store;
     Printf.printf "initialised %s: %d classes, %d objects%s\n" path
       (List.length vm.Rt.load_order) (Store.size store)

@@ -27,11 +27,11 @@ val fresh_vm : Store.t -> Rt.t
     and installing the hyper-programming runtime. *)
 
 val transact : Store.t -> (Rt.t -> 'a) -> 'a outcome
-(** Run the body atomically ([Store.Session.atomically]): on a
-    journalled, backed store a successful transaction ends with the
-    commit barrier — the delta is fsynced to the write-ahead journal, so
-    commits survive a crash without a full snapshot.  An abort truncates
-    the journal to its pre-transaction savepoint.
+(** Run the body atomically ([Store.Session.atomically]): on a backed
+    store a successful transaction ends with the commit barrier — the
+    delta is fsynced to the write-ahead journal, so commits survive a
+    crash without a full image write.  An abort truncates the journal to
+    its pre-transaction savepoint.
     @raise Invalid_argument (from the store) while snapshot sessions are
     open. *)
 

@@ -2,8 +2,8 @@
 
     A journal extends exactly one image snapshot: its header records the
     image's checksum, and its body is a sequence of checksummed,
-    length-prefixed mutation records.  [Store.stabilise] in journalled
-    mode appends the mutations since the last stabilise and fsyncs —
+    length-prefixed mutation records.  [Store.stabilise] appends the
+    mutations since the last stabilise and fsyncs —
     O(delta) instead of O(store) — and recovery replays the journal on top
     of the image, truncating at the first torn record.
 

@@ -7,8 +7,8 @@
 
      path             the manifest (magic "HPJMANIF")
      path.s<k>.<e>    shard [k]'s image at epoch [e]
-     path.s<k>.<e>.wal   its journal (journalled mode)
-     path.marker.<m>  the commit marker (journalled mode)
+     path.s<k>.<e>.wal   its journal
+     path.marker.<m>  the commit marker
 
    Epochs make image replacement atomic without renaming over live
    files: a compaction writes the new images at epoch [e+1], then
@@ -29,7 +29,7 @@ let magic = "HPJMANIF"
 
 type t = {
   nshards : int;
-  marker_epoch : int;  (* -1 when the store is in snapshot mode *)
+  marker_epoch : int;  (* -1 before the first compaction *)
   epochs : int array;  (* current image epoch per shard *)
 }
 

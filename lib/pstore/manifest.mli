@@ -7,8 +7,8 @@
       path             manifest (magic "HPJMANIF"): N, marker epoch,
                        per-shard image epochs
       path.s<k>.<e>    shard k's image at epoch e (ordinary v2 image)
-      path.s<k>.<e>.wal   shard k's journal (journalled mode)
-      path.marker.<m>  commit marker m (journalled mode)
+      path.s<k>.<e>.wal   shard k's journal
+      path.marker.<m>  commit marker m
     v}
 
     Single-shard stores keep the legacy flat layout ([path] is the image
@@ -16,7 +16,7 @@
 
 type t = {
   nshards : int;
-  marker_epoch : int;  (** current marker file index; [-1] in snapshot mode *)
+  marker_epoch : int;  (** current marker file index; [-1] before the first compaction *)
   epochs : int array;  (** current image epoch of each shard *)
 }
 

@@ -7,13 +7,13 @@
    roots contributed by a running VM (static fields, stack frames) that the
    garbage collector must honour even though they are not named roots.
 
-   Durability comes in two modes.  [Snapshot] (the default) rewrites the
-   whole image on every stabilise.  [Journalled] pairs the image with a
-   write-ahead journal: mutations made through this module are buffered as
-   journal ops, stabilise appends and fsyncs just the delta, and the image
-   is rewritten only at compaction points (first stabilise, journal over
-   the compaction limit, or after operations the journal cannot express —
-   a GC sweep, or direct heap surgery flagged via [mark_dirty]).
+   Durability is a property of the store, not a mode: every backed store
+   pairs its image with a write-ahead journal.  Mutations made through
+   this module are buffered as journal ops, stabilise appends and fsyncs
+   just the delta, and the image is rewritten only at compaction points
+   (first stabilise, journal over the compaction limit — [0] rewrites on
+   every stabilise — or after operations the journal cannot express: a
+   GC sweep, or direct heap surgery flagged via [mark_dirty]).
 
    The object space is partitioned into N shards (N fixed at creation,
    persisted in the store manifest).  Each shard owns an oid-hash slice of
@@ -37,10 +37,6 @@
    when tracing is enabled, so the hot accessors below branch on
    [Obs.enabled] explicitly rather than paying a closure on the untraced
    path. *)
-
-type durability =
-  | Snapshot
-  | Journalled
 
 (* Per-shard state.  The [sobs] counters are bumped from pool domains
    (counters are atomic; tracing is never enabled on a shard Obs) and
@@ -82,7 +78,6 @@ type t = {
   mutable pins : (unit -> Oid.t list) list;
   mutable stabilise_count : int;
   mutable gc_count : int;
-  mutable durability : durability;
   mutable needs_full : bool; (* journal can't express state since last image *)
   mutable compaction_limit : int;
   mutable group_window : int; (* stabilises per fsync; 1 = every stabilise *)
@@ -146,7 +141,6 @@ let default_salvage_degrade = 8
 
 module Config = struct
   type nonrec t = {
-    durability : durability;
     compaction_limit : int;
     group_window : int;
     retry : Retry.policy option;
@@ -161,7 +155,6 @@ module Config = struct
 
   let default =
     {
-      durability = Snapshot;
       compaction_limit = default_compaction_limit;
       group_window = 1;
       retry = None;
@@ -232,7 +225,6 @@ let make ?(obs = Obs.create ()) ?(nshards = 1) () =
     pins = [];
     stabilise_count = 0;
     gc_count = 0;
-    durability = Snapshot;
     needs_full = true;
     compaction_limit = default_compaction_limit;
     group_window = 1;
@@ -298,14 +290,15 @@ let merge_shard_counts store before =
         merged_ops)
     store.shards
 
-(* -- durability mode ------------------------------------------------------ *)
+(* -- journalling ----------------------------------------------------------- *)
 
-let durability store = store.durability
-
+(* A mutation is worth recording only when a journal can receive it: the
+   store is backed and does not already owe a full image (which will
+   capture the mutation anyway).  An unbacked store records nothing. *)
 let journalling store =
-  match store.durability with
-  | Journalled -> true
-  | Snapshot -> false
+  match store.backing with
+  | Some _ -> not store.needs_full
+  | None -> false
 
 (* Single-shard journal close (legacy flat layout). *)
 let close_wal store =
@@ -319,62 +312,6 @@ let close_wal store =
     Journal.close w;
     sh.swal <- None
   | None -> ()
-
-let set_durability store mode =
-  if mode <> store.durability then begin
-    (match mode with
-    | Journalled ->
-      (* The journal only describes mutations made while journalling, so
-         the first stabilise must write a full image. *)
-      store.needs_full <- true
-    | Snapshot ->
-      if nshards store = 1 then begin
-        close_wal store;
-        let sh = s0 store in
-        sh.spending <- [];
-        sh.spending_count <- 0;
-        match store.backing with
-        | Some path when Sys.file_exists (Journal.path_for path) ->
-          Sys.remove (Journal.path_for path)
-        | _ -> ()
-      end
-      else begin
-        Array.iter
-          (fun sh ->
-            (match sh.swal with Some w -> Journal.close w | None -> ());
-            sh.swal <- None;
-            sh.spending <- [];
-            sh.spending_count <- 0;
-            sh.sdirty <- false)
-          store.shards;
-        (match store.marker with Some m -> Manifest.Marker.close m | None -> ());
-        store.marker <- None;
-        store.unsynced <- 0;
-        (match store.backing with
-        | Some path ->
-          Array.iteri
-            (fun k sh ->
-              let w = Manifest.shard_wal path k sh.sepoch in
-              if Sys.file_exists w then (try Sys.remove w with Sys_error _ -> ()))
-            store.shards;
-          (if store.marker_epoch >= 0 then begin
-             let mp = Manifest.marker_path path store.marker_epoch in
-             if Sys.file_exists mp then (try Sys.remove mp with Sys_error _ -> ())
-           end);
-          if Manifest.is_manifest path then (
-            try
-              Manifest.save path
-                {
-                  Manifest.nshards = nshards store;
-                  marker_epoch = -1;
-                  epochs = Array.map (fun sh -> sh.sepoch) store.shards;
-                }
-            with Sys_error _ -> ())
-        | None -> ());
-        store.marker_epoch <- -1
-      end);
-    store.durability <- mode
-  end
 
 let set_compaction_limit store n =
   if n < 0 then invalid_arg "Store.set_compaction_limit: negative";
@@ -578,7 +515,6 @@ let configure store (c : Config.t) =
          "Store.configure: shard count is fixed at store creation (store has %d, config asks for \
           %d)"
          (nshards store) c.Config.shards);
-  set_durability store c.Config.durability;
   set_compaction_limit store c.Config.compaction_limit;
   set_group_window store c.Config.group_window;
   store.retry <- c.Config.retry;
@@ -598,8 +534,7 @@ let configure store (c : Config.t) =
 
 let config store : Config.t =
   {
-    Config.durability = store.durability;
-    compaction_limit = store.compaction_limit;
+    Config.compaction_limit = store.compaction_limit;
     group_window = store.group_window;
     retry = store.retry;
     retry_overrides = store.retry_overrides;
@@ -652,7 +587,7 @@ let pending_total store = Array.fold_left (fun acc sh -> acc + sh.spending_count
 
 (* -- MVCC versioning ------------------------------------------------------
 
-   Snapshot sessions pin the store's committed-write epoch
+   A snapshot session pins the store's committed-write epoch
    ([mvcc.commit_seq]) at [open_session].  While at least one snapshot
    session is open, every mutation of shared state first preserves the
    pre-image of the object / root / blob it is about to change (once per
@@ -1078,7 +1013,7 @@ let gc store =
       bump_epoch store;
       (* A sweep removes objects and clears weak cells behind the journal's
          back; the next stabilise must therefore compact. *)
-      if journalling store then store.needs_full <- true;
+      store.needs_full <- true;
       let extra_roots = quarantine_roots store @ pinned_oids store in
       let stats =
         if nshards store = 1 then Gc.collect ~extra_roots store.heap store.roots
@@ -1275,34 +1210,6 @@ let sync_dirty_shards store =
                 | Some w -> Journal.sync w
                 | None -> ());
                 sh.sdirty <- false)))
-
-(* Snapshot mode, sharded: every stabilise rewrites all shard images (in
-   parallel) and then commits them together with one manifest rename.
-   Unhealthy shards are skipped — their old-epoch image stays referenced
-   untouched; an OFFLINE shard's slice of the heap is empty, and writing
-   that empty slice out would turn a recoverable image into a lost one. *)
-let save_shards_snapshot store path =
-  let c = contents store in
-  let n = nshards store in
-  let before = shard_counts store in
-  Fun.protect ~finally:(fun () -> merge_shard_counts store before) @@ fun () ->
-  let epochs' =
-    Array.map (fun sh -> if Health.healthy sh.shealth then sh.sepoch + 1 else sh.sepoch)
-      store.shards
-  in
-  Dpool.run n (fun k ->
-      let sh = store.shards.(k) in
-      if Health.healthy sh.shealth then
-        Faults.with_shard_scope k (fun () ->
-            shard_io store sh Retry.Image_save (fun () ->
-                let keep_oid, keep_key = shard_keep store k in
-                let slice = Image.slice ~keep_oid ~keep_key c in
-                ignore (Image.save ~obs:sh.sobs (Manifest.shard_image path k epochs'.(k)) slice
-                  : int32))));
-  let m = { Manifest.nshards = n; marker_epoch = -1; epochs = epochs' } in
-  Manifest.save path m;
-  Array.iteri (fun k sh -> sh.sepoch <- epochs'.(k)) store.shards;
-  Manifest.cleanup_stale path m
 
 (* The journalled append path.  One store-level sequence number covers
    the whole stabilise: each dirty shard gets one seq-stamped batch
@@ -1507,47 +1414,44 @@ let per_shard_limit store =
   max 1 ((store.compaction_limit + n - 1) / n)
 
 let stabilise_once_sharded store path =
-  match store.durability with
-  | Snapshot -> save_shards_snapshot store path
-  | Journalled ->
-    let in_rollback = store.rollback_depth > 0 in
-    let active sh = Health.healthy sh.shealth in
-    (* Missing files of a DEMOTED shard don't force anything: that shard
-       is out of service and its rebuild is [repair]'s job.  Only a
-       healthy shard without a journal makes appending impossible. *)
-    let any_missing =
-      store.marker = None || Array.exists (fun sh -> active sh && sh.swal = None) store.shards
-    in
-    let must_compact = store.needs_full || any_missing in
-    let limit = per_shard_limit store in
-    let over sh =
-      (match sh.swal with
-      | Some w -> Journal.depth w
-      | None -> 0)
-      + sh.spending_count
-      > limit
-    in
-    let want sh = active sh && (over sh || sh.sneeds_full) in
-    if must_compact && in_rollback then
-      invalid_arg
-        "Store.stabilise: store needs compaction inside with_rollback (after a gc or direct \
-         heap surgery); stabilise before the transaction instead"
-    else if must_compact then begin
-      (* A full compaction rewrites every shard and rotates the marker —
-         it cannot proceed around a dead shard.  Refuse with the typed
-         error naming the shard that must be repaired first. *)
-      (if store.unhealthy > 0 then
-         match first_unhealthy store with
-         | Some (k, st) -> refuse_write store k st
-         | None -> ());
-      compact_shards store path ~full:true ~selected:(Array.make (nshards store) true)
-    end
-    else if Array.exists want store.shards && not in_rollback then
-      (* Per-shard compaction: only the shards over their slice of the
-         limit (or owing a quarantine-change image) pay the rewrite — the
-         hot shard compacts while cold shards keep their journals. *)
-      compact_shards store path ~full:false ~selected:(Array.map want store.shards)
-    else sharded_append ~force_sync:false store
+  let in_rollback = store.rollback_depth > 0 in
+  let active sh = Health.healthy sh.shealth in
+  (* Missing files of a DEMOTED shard don't force anything: that shard
+     is out of service and its rebuild is [repair]'s job.  Only a
+     healthy shard without a journal makes appending impossible. *)
+  let any_missing =
+    store.marker = None || Array.exists (fun sh -> active sh && sh.swal = None) store.shards
+  in
+  let must_compact = store.needs_full || any_missing in
+  let limit = per_shard_limit store in
+  let over sh =
+    (match sh.swal with
+    | Some w -> Journal.depth w
+    | None -> 0)
+    + sh.spending_count
+    > limit
+  in
+  let want sh = active sh && (over sh || sh.sneeds_full) in
+  if must_compact && in_rollback then
+    invalid_arg
+      "Store.stabilise: store needs compaction inside with_rollback (after a gc or direct \
+       heap surgery); stabilise before the transaction instead"
+  else if must_compact then begin
+    (* A full compaction rewrites every shard and rotates the marker —
+       it cannot proceed around a dead shard.  Refuse with the typed
+       error naming the shard that must be repaired first. *)
+    (if store.unhealthy > 0 then
+       match first_unhealthy store with
+       | Some (k, st) -> refuse_write store k st
+       | None -> ());
+    compact_shards store path ~full:true ~selected:(Array.make (nshards store) true)
+  end
+  else if Array.exists want store.shards && not in_rollback then
+    (* Per-shard compaction: only the shards over their slice of the
+       limit (or owing a quarantine-change image) pay the rewrite — the
+       hot shard compacts while cold shards keep their journals. *)
+    compact_shards store path ~full:false ~selected:(Array.map want store.shards)
+  else sharded_append ~force_sync:false store
 
 (* One stabilisation attempt.  Both failure paths are idempotent, which
    is what makes the retry wrapper below safe: a failed journal append
@@ -1557,47 +1461,82 @@ let stabilise_once_sharded store path =
 let stabilise_once store path =
   if nshards store > 1 then stabilise_once_sharded store path
   else
-    match store.durability with
-    | Snapshot -> ignore (Image.save ~obs:store.obs path (contents store) : int32)
-    | Journalled ->
-      let sh = s0 store in
-      let in_rollback = store.rollback_depth > 0 in
-      let must_compact = store.needs_full || sh.swal = None in
-      let over_limit = wal_depth store + sh.spending_count > store.compaction_limit in
-      if must_compact && in_rollback then
-        invalid_arg
-          "Store.stabilise: store needs compaction inside with_rollback (after a gc or direct \
-           heap surgery); stabilise before the transaction instead"
-      else if must_compact || (over_limit && not in_rollback) then compact store path
-      else begin
-        (* Over the limit inside a transaction we keep appending: compaction
-           cannot be undone by an abort, the next top-level stabilise does it. *)
-        let wal = Option.get sh.swal in
-        match
-          (* The delta rides as one batch record — atomic under a torn
-             write.  With a group window, the fsync is amortised over
-             [group_window] stabilises; a crash loses whole recent batches,
-             never part of one. *)
-          Journal.append_batch wal (List.rev sh.spending);
-          if store.unsynced + 1 >= store.group_window then begin
-            Journal.sync wal;
-            store.unsynced <- 0
-          end
-          else store.unsynced <- store.unsynced + 1
-        with
-        | () ->
-          sh.spending <- [];
-          sh.spending_count <- 0
-        | exception e ->
-          (* The journal tail is now suspect (possibly torn); recover by
-             compacting next time rather than appending after garbage. *)
-          store.needs_full <- true;
-          raise e
-      end
+    let sh = s0 store in
+    let in_rollback = store.rollback_depth > 0 in
+    let must_compact = store.needs_full || sh.swal = None in
+    let over_limit = wal_depth store + sh.spending_count > store.compaction_limit in
+    if must_compact && in_rollback then
+      invalid_arg
+        "Store.stabilise: store needs compaction inside with_rollback (after a gc or direct \
+         heap surgery); stabilise before the transaction instead"
+    else if must_compact || (over_limit && not in_rollback) then compact store path
+    else begin
+      (* Over the limit inside a transaction we keep appending: compaction
+         cannot be undone by an abort, the next top-level stabilise does it. *)
+      let wal = Option.get sh.swal in
+      match
+        (* The delta rides as one batch record — atomic under a torn
+           write.  With a group window, the fsync is amortised over
+           [group_window] stabilises; a crash loses whole recent batches,
+           never part of one. *)
+        Journal.append_batch wal (List.rev sh.spending);
+        if store.unsynced + 1 >= store.group_window then begin
+          Journal.sync wal;
+          store.unsynced <- 0
+        end
+        else store.unsynced <- store.unsynced + 1
+      with
+      | () ->
+        sh.spending <- [];
+        sh.spending_count <- 0
+      | exception e ->
+        (* The journal tail is now suspect (possibly torn); recover by
+           compacting next time rather than appending after garbage. *)
+        store.needs_full <- true;
+        raise e
+    end
+
+(* Release every journal handle (and, sharded, the commit marker).  An
+   orderly release is a durability barrier: deferred batches are flushed
+   and the current sequence number committed before the handles go. *)
+let release_journals store =
+  if nshards store = 1 then close_wal store
+  else begin
+    (try
+       if store.unsynced > 0 || Array.exists (fun sh -> sh.sdirty) store.shards then
+         sync_dirty_shards store;
+       match store.marker with
+       | Some m when store.seq > store.committed ->
+         Manifest.Marker.append m store.seq;
+         Manifest.Marker.sync m;
+         store.committed <- store.seq
+       | _ -> ()
+     with _ -> ());
+    Array.iter
+      (fun sh ->
+        (match sh.swal with
+        | Some w -> ( try Journal.close w with _ -> ())
+        | None -> ());
+        sh.swal <- None;
+        sh.sdirty <- false)
+      store.shards;
+    (match store.marker with
+    | Some m -> ( try Manifest.Marker.close m with _ -> ())
+    | None -> ());
+    store.marker <- None;
+    store.unsynced <- 0
+  end
 
 let stabilise ?path store =
   let path =
     match path, store.backing with
+    | Some p, Some q when p <> q ->
+      (* Re-pointing a backed store: its journals describe [q]'s image,
+         so [p] starts from a full one. *)
+      release_journals store;
+      store.needs_full <- true;
+      store.backing <- Some p;
+      p
     | Some p, _ ->
       store.backing <- Some p;
       p
@@ -1605,12 +1544,7 @@ let stabilise ?path store =
     | None, None -> invalid_arg "Store.stabilise: no backing file"
   in
   store.stabilise_count <- store.stabilise_count + 1;
-  let mode =
-    match store.durability with
-    | Snapshot -> "snapshot"
-    | Journalled -> "journalled"
-  in
-  Obs.span store.obs Obs.Stabilise ~label:mode (fun () ->
+  Obs.span store.obs Obs.Stabilise (fun () ->
       let attempt () = stabilise_once store path in
       let run () =
         match policy_for store Retry.Stabilise with
@@ -1666,25 +1600,24 @@ let open_flat ?config path =
       replay.Journal.records;
     store.replayed <- List.length replay.Journal.records;
     store.recovered_torn <- replay.Journal.torn;
-    store.durability <- Journalled;
     sh.swal <-
       Some
         (Journal.open_for_append ~obs (Journal.path_for path)
            ~valid_bytes:replay.Journal.valid_bytes ~depth:store.replayed);
     store.needs_full <- false
-  | Some _ ->
-    (* Stale journal: the image is newer (a compaction's journal reset
-       never landed).  The image already holds every journalled effect. *)
-    store.durability <- Journalled;
-    store.needs_full <- true
-  | None -> ());
+  | Some _ | None ->
+    (* No journal, or a stale one (the image is newer: a compaction's
+       journal reset never landed).  The image already holds every
+       journalled effect; the next stabilise writes a fresh image and
+       journal ([make] left [needs_full] set). *)
+    ());
   (* A salvage load quarantined objects the on-disk image does not yet
      record as such; force a compaction so the next stabilise persists
      the quarantine set. *)
   if not (Quarantine.is_empty sh.sq) then store.needs_full <- true;
-  (* An explicit configuration is applied last, so it wins over the
-     recovered durability mode.  The shard count is whatever the file
-     has: it is persistent state, not a tunable. *)
+  (* An explicit configuration is applied last, so it wins over
+     recovered state.  The shard count is whatever the file has: it is
+     persistent state, not a tunable. *)
   Option.iter (fun (c : Config.t) -> configure store { c with Config.shards = 1 }) config;
   store
 
@@ -1790,7 +1723,6 @@ let open_sharded ?config path =
      epoch files through the manifest rename. *)
   Array.iteri (fun k sh -> sh.sepoch <- m.Manifest.epochs.(k)) store.shards;
   if m.Manifest.marker_epoch >= 0 then begin
-    store.durability <- Journalled;
     store.marker_epoch <- m.Manifest.marker_epoch;
     let mpath = Manifest.marker_path path m.Manifest.marker_epoch in
     match Manifest.Marker.read mpath with
@@ -1867,41 +1799,14 @@ let open_sharded ?config path =
 let open_file ?config path =
   if Manifest.is_manifest path then open_sharded ?config path else open_flat ?config path
 
-(* Both [close] and [crash] are idempotent and safe on any durability
-   mode: each drops the journal handles (a no-op when there are none, as
-   in snapshot mode or after a previous close/crash).  [close]
-   additionally seals a final observability snapshot and empties the
-   trace ring; [crash] drops the ring without snapshotting, exactly as a
-   process crash would lose in-flight trace state. *)
+(* Both [close] and [crash] are idempotent: each drops the journal
+   handles (a no-op when there are none, as on an unbacked store or after
+   a previous close/crash).  [close] additionally seals a final
+   observability snapshot and empties the trace ring; [crash] drops the
+   ring without snapshotting, exactly as a process crash would lose
+   in-flight trace state. *)
 let close store =
-  if nshards store = 1 then close_wal store
-  else begin
-    (* durability barrier: flush deferred batches, then commit the
-       current sequence number before the handles go *)
-    (try
-       if store.unsynced > 0 || Array.exists (fun sh -> sh.sdirty) store.shards then
-         sync_dirty_shards store;
-       match store.marker with
-       | Some m when store.seq > store.committed ->
-         Manifest.Marker.append m store.seq;
-         Manifest.Marker.sync m;
-         store.committed <- store.seq
-       | _ -> ()
-     with _ -> ());
-    Array.iter
-      (fun sh ->
-        (match sh.swal with
-        | Some w -> ( try Journal.close w with _ -> ())
-        | None -> ());
-        sh.swal <- None;
-        sh.sdirty <- false)
-      store.shards;
-    (match store.marker with
-    | Some m -> ( try Manifest.Marker.close m with _ -> ())
-    | None -> ());
-    store.marker <- None;
-    store.unsynced <- 0
-  end;
+  release_journals store;
   Obs.flush store.obs
 
 let crash store =
@@ -2033,10 +1938,10 @@ let repair store k =
            (* Durable rewrite: the shard owes the disk a fresh image
               covering everything that happened while it was out of
               service (buffered pending ops, salvage quarantine, the
-              rebuild).  On a journalled backed store, pay it now. *)
+              rebuild).  On a backed store, pay it now. *)
            sh.sneeds_full <- true;
            (match store.backing with
-           | Some path when store.durability = Journalled && nshards store > 1 -> begin
+           | Some path when nshards store > 1 -> begin
              match
                if store.needs_full || store.marker = None then begin
                  if store.unhealthy = 0 then
@@ -2158,13 +2063,13 @@ let restore_contents store (restored : Image.contents) =
    blobs are restored to their state at entry (oids included) and the
    exception is returned.
 
-   A journalled, backed, single-shard store aborts by recovery instead of
-   by snapshot: the journal is truncated to its entry savepoint and the
+   A journalling single-shard store aborts by recovery instead of by
+   snapshot: the journal is truncated to its entry savepoint and the
    pre-transaction state is rebuilt from the image plus the journal plus
    the entry-time pending ops — O(committed delta), not O(store).  Stores
-   the journal cannot describe (snapshot mode, unstabilised, dirtied by
+   the journal cannot describe (unbacked, unstabilised, dirtied by
    gc/direct heap surgery, or sharded — where entry state spans several
-   files) pay the original full-image snapshot. *)
+   files) pay a full-image snapshot. *)
 let with_rollback store f =
   (* Rolling shared state back out from under a pinned snapshot would
      falsify it (and the versions/stamps describing it). *)
@@ -2172,13 +2077,7 @@ let with_rollback store f =
     invalid_arg
       "Store.with_rollback: open snapshot sessions would observe the rollback; commit or abort \
        them first";
-  let journal_restore =
-    nshards store = 1
-    && journalling store
-    && (s0 store).swal <> None
-    && (not store.needs_full)
-    && store.backing <> None
-  in
+  let journal_restore = nshards store = 1 && journalling store && (s0 store).swal <> None in
   store.rollback_depth <- store.rollback_depth + 1;
   let leave () = store.rollback_depth <- store.rollback_depth - 1 in
   if journal_restore then begin
@@ -2252,14 +2151,11 @@ let with_rollback store f =
      anything committed after its snapshot raises the typed
      [Failure.Commit_conflict] and aborts, touching nothing. *)
 
-(* The commit barrier: on a journalled, backed store a committed delta
-   must be durable before control returns — a cheap journal fsync, not a
-   full image write.  Snapshot-mode and unbacked stores stabilise when
-   the owner chooses, as they always have. *)
-let commit_barrier store =
-  match store.durability, store.backing with
-  | Journalled, Some _ -> stabilise store
-  | (Journalled | Snapshot), _ -> ()
+(* The commit barrier: on a backed store a committed delta must be
+   durable before control returns — a journal append and fsync, or the
+   first image write of a store that has none yet.  An unbacked store
+   has nothing to be durable on. *)
+let commit_barrier store = if store.backing <> None then stabilise store
 
 module Session = struct
   type nonrec t = session

@@ -21,14 +21,13 @@ type store = t
 
 (** {1 Durability}
 
-    [Snapshot] (the default) rewrites the full image on every stabilise.
-    [Journalled] buffers mutations as write-ahead journal ops: stabilise
-    appends and fsyncs just the delta since the last stabilise, and the
-    full image is rewritten only at compaction points. *)
-
-type durability =
-  | Snapshot
-  | Journalled
+    Every backed store journals.  Mutations are buffered as write-ahead
+    journal ops: stabilise appends and fsyncs just the delta since the
+    last stabilise, and the full image is rewritten only at compaction
+    points — the first stabilise, a journal over [compaction_limit]
+    ([0] rewrites the image on every stabilise), or after changes the
+    journal cannot express (a GC sweep, {!mark_dirty}, quarantine
+    churn).  An unbacked store records nothing. *)
 
 (** {1 Configuration}
 
@@ -39,9 +38,9 @@ type durability =
 
 module Config : sig
   type t = {
-    durability : durability;
     compaction_limit : int;
-        (** journal records tolerated before stabilise compacts *)
+        (** journal records tolerated before stabilise compacts; [0]
+            writes a fresh image on every stabilise *)
     group_window : int;
         (** group commit: journalled stabilises per fsync.  [1] (the
             default) fsyncs every stabilise; [n > 1] coalesces each
@@ -82,23 +81,24 @@ module Config : sig
   }
 
   val default : t
-  (** Snapshot durability, default compaction limit, no retry (and no
+  (** Default compaction limit, group window 1, no retry (and no
       per-class overrides), breaker threshold 3, salvage-degrade
       threshold 8, backing untouched, {!Obs.default_ring_capacity} ring,
       tracing off. *)
 end
 
 val create : ?config:Config.t -> unit -> t
-(** A fresh, empty, unbacked store (snapshot durability unless [config]
-    says otherwise). *)
+(** A fresh, empty store, unbacked unless [config] names a backing file.
+    Its first stabilise writes the image and starts the journal. *)
 
 val open_file : ?config:Config.t -> string -> t
 (** Recover a store from a stabilised image.  If a write-ahead journal
     paired with the image exists it is replayed on top (truncating at the
-    first torn record) and the store reopens in journalled mode; a crash
-    that left a complete-but-unrenamed snapshot is promoted.  An explicit
-    [config] is applied after recovery, so its durability wins over the
-    recovered mode.
+    first torn record) and later stabilises append to it; an image with
+    no journal (or a stale one) writes a fresh image and journal at its
+    next stabilise.  A crash that left a complete-but-unrenamed image is
+    promoted.  An explicit [config] is applied after recovery, so its
+    tunables win over recovered state.
 
     On a sharded store, shard faults are contained: an unreadable shard
     image takes only that shard {e offline} (see {!health}; its slice of
@@ -110,9 +110,7 @@ val open_file : ?config:Config.t -> string -> t
 
 val configure : t -> Config.t -> unit
 (** Apply a whole configuration.  [backing = None] keeps the current
-    backing file; switching durability behaves like the legacy
-    [set_durability] (entering [Journalled] forces a full image at the
-    next stabilise, entering [Snapshot] discards the journal). *)
+    backing file. *)
 
 val config : t -> Config.t
 (** The store's current configuration ([backing] is the current backing
@@ -122,16 +120,14 @@ val close : t -> unit
 (** Release the journal file handle, if any, and seal the observability
     state: a final counter snapshot is recorded ({!Obs.flush}) and the
     trace ring is emptied.  The store stays usable in memory; the next
-    journalled stabilise recreates the handle by compaction.  Idempotent,
-    and safe on any durability mode. *)
+    stabilise recreates the handle by compaction.  Idempotent. *)
 
 val crash : t -> unit
 (** Test support: simulate a process crash.  The journal descriptor is
     closed without flushing, so buffered-but-unsynced bytes are lost, and
     in-flight trace state is dropped without a final snapshot
     ({!Obs.drop}).  The in-memory store should be discarded and the image
-    reopened.  Idempotent, safe on any durability mode, and safe after
-    {!close}. *)
+    reopened.  Idempotent, and safe after {!close}. *)
 
 val heap : t -> Heap.t
 val roots : t -> Roots.t
@@ -224,7 +220,6 @@ val repair_all : t -> repair_report list
 (** Repair every unhealthy shard, in shard order. *)
 
 val backing : t -> string option
-val durability : t -> durability
 val group_window : t -> int
 
 val set_group_window : t -> int -> unit
@@ -367,11 +362,12 @@ val contents : t -> Image.contents
     fingerprint of the whole persistent state. *)
 
 val stabilise : ?path:string -> t -> unit
-(** Make the store durable at [path] (or the backing file).  Snapshot
-    mode writes the whole image atomically; journalled mode appends the
+(** Make the store durable at [path] (or the backing file): append the
     mutation delta to the write-ahead journal as one atomic batch record
-    and fsyncs (every [group_window]-th stabilise when group commit is
-    on), compacting into a fresh image when required.
+    and fsync (every [group_window]-th stabilise when group commit is
+    on), or write a fresh image atomically and restart the journal at a
+    compaction point.  A [path] other than the current backing file
+    re-points the store and writes a full image there.
     @raise Invalid_argument if no path is available, or if a compaction
     is required inside {!with_rollback}. *)
 
@@ -421,12 +417,13 @@ val with_rollback : t -> (unit -> 'a) -> ('a, exn) result
 (** Run [f] with whole-store rollback: on an exception the heap, roots
     and blobs are restored to their state at entry (oids included).
 
-    On a journalled, backed, clean store the abort path is recovery: the
-    journal is truncated to its entry savepoint and the entry state is
-    rebuilt from image + journal + entry-time pending ops — O(delta)
-    rather than one full store snapshot, and any records the transaction
-    stabilised are cut off so the on-disk journal replays to the
-    pre-transaction state.  Other stores pay the full-image snapshot.
+    On a backed single-shard store whose journal describes it (no GC
+    sweep or {!mark_dirty} since its last image) the abort path is
+    recovery: the journal is truncated to its entry savepoint and the
+    entry state is rebuilt from image + journal + entry-time pending ops
+    — O(delta) rather than one full store snapshot, and any records the
+    transaction stabilised are cut off so the on-disk journal replays to
+    the pre-transaction state.  Other stores pay the full-image snapshot.
     @raise Invalid_argument while snapshot sessions are open — a
     whole-store rollback would rewrite state under their snapshots. *)
 
@@ -545,7 +542,7 @@ module Session : sig
   val commit : t -> unit
   (** Publish the session's buffered writes atomically and close the
       session.  On the default session this is just the durability
-      barrier (stabilise a journalled backed store).
+      barrier (stabilise a backed store).
       @raise Failure.Commit_conflict if first-committer-wins detection
       refuses the commit; the session is aborted first, having changed
       nothing.
@@ -592,5 +589,5 @@ val default_session : t -> Session.t
     the handle the single-owner operations route through. *)
 
 val open_session_count : t -> int
-(** Snapshot sessions currently open (the default session is not
+(** The snapshot sessions currently open (the default session is not
     counted). *)

@@ -24,8 +24,7 @@ let chaos_config ?(shards = 4) ?(breaker = 2) ?(retry = Some fast_policy)
     ?(compaction_limit = 32) path =
   {
     Store.Config.default with
-    Store.Config.durability = Store.Journalled;
-    compaction_limit;
+    Store.Config.compaction_limit;
     backing = Some path;
     retry;
     breaker;

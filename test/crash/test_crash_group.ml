@@ -13,9 +13,8 @@
      batches since the last fsync; everything up to that fsync is
      durable.
 
-   Checked across the three durability configurations: Snapshot,
-   Journalled (window 1, fsync every stabilise), and Journalled with
-   group commit (window > 1). *)
+   Checked with window 1 (fsync every stabilise) and with group commit
+   (window > 1). *)
 
 open Pstore
 open Crash_util
@@ -24,12 +23,11 @@ let sp = Printf.sprintf
 
 let image dir = Filename.concat dir "store.img"
 
-let make_store ?(window = 1) ?(durability = Store.Journalled) dir =
+let make_store ?(window = 1) dir =
   let config =
     {
       Store.Config.default with
-      Store.Config.durability;
-      group_window = window;
+      Store.Config.group_window = window;
       backing = Some (image dir);
     }
   in
@@ -88,7 +86,7 @@ let torn_batch_recovers_pre_batch_state () =
         (fingerprint reopened);
       Store.close reopened)
 
-(* -- fault-injected crash mid-stabilise, all three modes ------------------ *)
+(* -- fault-injected crash mid-stabilise ------------------------------------ *)
 
 let pick_fault seed =
   match seed mod 4 with
@@ -100,9 +98,9 @@ let pick_fault seed =
 (* Crash one seed-chosen way during a stabilise carrying a multi-op
    delta: the reopened store holds the pre-batch state or the complete
    post-batch state — nothing in between. *)
-let crash_mid_batch ~durability ~window seed =
+let crash_mid_batch ~window seed =
   with_dir (fun dir ->
-      let store = make_store ~durability ~window dir in
+      let store = make_store ~window dir in
       mutate store 0;
       Store.stabilise store;
       let fp_base = fingerprint store in
@@ -128,11 +126,11 @@ let crash_mid_batch ~durability ~window seed =
 
 let crash_matrix () =
   List.iter
-    (fun (durability, window) ->
+    (fun window ->
       for seed = 0 to 23 do
-        crash_mid_batch ~durability ~window seed
+        crash_mid_batch ~window seed
       done)
-    [ (Store.Snapshot, 1); (Store.Journalled, 1); (Store.Journalled, 4) ]
+    [ 1; 4 ]
 
 (* -- bounded loss with a deferred fsync ----------------------------------- *)
 

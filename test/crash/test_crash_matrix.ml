@@ -122,7 +122,6 @@ let exec store records note op =
 
 let make_store dir =
   let store = Store.create () in
-  Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
   Store.configure store { (Store.config store) with Store.Config.compaction_limit = 8 } (* small: exercise compaction crashes *);
   Store.configure store { (Store.config store) with Store.Config.backing = (Some (Filename.concat dir "store.img")) };
   store

@@ -27,8 +27,7 @@ let nshards = 4
 let shard_config ?(compaction_limit = 32) path =
   {
     Store.Config.default with
-    Store.Config.durability = Store.Journalled;
-    compaction_limit;
+    Store.Config.compaction_limit;
     backing = Some path;
     shards = nshards;
   }

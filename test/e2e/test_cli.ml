@@ -52,6 +52,18 @@ let create_on_missing_only_for_init_and_compile () =
   expect_ok (hpjava [ "compile"; store2; src ]);
   check_bool "compile created the store" true (Sys.file_exists store2)
 
+(* Every store journals: the --journalled flag is accepted but changes
+   nothing, so both inits leave the image and its journal. *)
+let init_flag_changes_no_files () =
+  let files_after args =
+    with_dir @@ fun dir ->
+    expect_ok (hpjava ([ "init" ] @ args @ [ Filename.concat dir "S" ]));
+    List.sort compare (Array.to_list (Sys.readdir dir))
+  in
+  let plain = files_after [] in
+  check_bool "plain init leaves S and S.wal" true (plain = [ "S"; "S.wal" ]);
+  check_bool "--journalled leaves the same files" true (files_after [ "--journalled" ] = plain)
+
 (* -- failure paths exit nonzero with one-line messages --------------------- *)
 
 let compile_error_exits_nonzero () =
@@ -206,4 +218,5 @@ let suite =
     test "sharded init persists and check prints per-shard lines" sharded_init_and_check;
     test "offline shard: maintenance mode, repair all, healthy check"
       offline_shard_maintenance_and_repair;
+    test "init with and without --journalled leaves the same files" init_flag_changes_no_files;
   ]

@@ -133,8 +133,8 @@ let multi_client_race () =
 
 (* -- durability across a murdered server ------------------------------------- *)
 
-let sigkill_loses_no_committed_roots () =
-  with_store @@ fun ~dir ~store ->
+let sigkill_loses_no_committed_roots ~init_args () =
+  with_store ~init_args @@ fun ~dir ~store ->
   let server, socket = spawn_server ~dir ~store in
   let c = spawn_client socket in
   client_expect c "connected: session";
@@ -182,6 +182,9 @@ let suite =
     test "connect refuses a bad password (exit 1)" connect_bad_password_exits_1;
     test "independent servers coexist" second_serve_on_the_socket_fails;
     test "three clients race one root" multi_client_race;
-    test "SIGKILL loses no committed roots" sigkill_loses_no_committed_roots;
+    test "SIGKILL loses no committed roots"
+      (sigkill_loses_no_committed_roots ~init_args:[ "--journalled" ]);
     test "SIGTERM shuts down cleanly" sigterm_shuts_down_cleanly;
+    test "SIGKILL loses no committed roots (plain init)"
+      (sigkill_loses_no_committed_roots ~init_args:[]);
   ]

@@ -156,8 +156,7 @@ let abort_leaves_no_journal_residue () =
   Store.configure store
     {
       (Store.config store) with
-      Store.Config.durability = Store.Journalled;
-      backing = Some path;
+      Store.Config.backing = Some path;
     };
   let a = Store.alloc_record store "A" [| ival 1 |] in
   Store.set_root store "a" (Pvalue.Ref a);
@@ -195,8 +194,7 @@ let committed_session_survives_reopen () =
   Store.configure store
     {
       (Store.config store) with
-      Store.Config.durability = Store.Journalled;
-      backing = Some path;
+      Store.Config.backing = Some path;
     };
   let a = Store.alloc_record store "A" [| ival 1 |] in
   Store.set_root store "a" (Pvalue.Ref a);

@@ -55,8 +55,7 @@ let group_commit_counted_per_batch () =
       let config =
         {
           Store.Config.default with
-          Store.Config.durability = Store.Journalled;
-          group_window = 4;
+          Store.Config.group_window = 4;
           backing = Some path;
         }
       in

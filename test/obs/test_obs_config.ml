@@ -10,14 +10,12 @@ let incremental_updates_compose () =
   (* three one-knob [{ config with ... }] updates land on the same state
      as one whole-record configure *)
   let stepwise = Store.create () in
-  Store.configure stepwise { (Store.config stepwise) with Store.Config.durability = Store.Journalled };
   Store.configure stepwise { (Store.config stepwise) with Store.Config.compaction_limit = 128 };
   Store.configure stepwise { (Store.config stepwise) with Store.Config.retry = (Some Retry.default_policy) };
   let unified = Store.create () in
   Store.configure unified
     {
-      Store.Config.durability = Store.Journalled;
-      compaction_limit = 128;
+      Store.Config.compaction_limit = 128;
       group_window = 1;
       retry = Some Retry.default_policy;
       retry_overrides = [];
@@ -35,7 +33,6 @@ let configure_config_is_identity () =
   with_store_file (fun path ->
       let store = Store.create () in
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       Store.configure store { (Store.config store) with Store.Config.retry = (Some Retry.default_policy) };
       let before = Store.config store in
       Store.configure store before;
@@ -55,24 +52,37 @@ let default_config_leaves_backing_alone () =
 let open_file_config_wins_over_recovery () =
   with_store_file (fun path ->
       let store = Store.create () in
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       let a = Store.alloc_record store "A" [| Pvalue.Int 1l |] in
       Store.set_root store "a" (Pvalue.Ref a);
       Store.stabilise ~path store;
+      Store.set_root store "b" (Pvalue.Int 2l);
+      Store.stabilise store;
       Store.close store;
-      (* default open recovers the journalled mode from the WAL... *)
+      (* default open recovers the journal, and the next stabilise
+         appends to it... *)
       let recovered = Store.open_file path in
-      check_bool "recovery restores journalled mode" true
-        (Store.durability recovered = Store.Journalled);
+      check_int "recovered journal depth" 1 (Store.stats recovered).Store.journal_depth;
+      Store.set_root recovered "b" (Pvalue.Int 3l);
+      Store.stabilise recovered;
+      check_int "default limit appends" 0 (Store.stats recovered).Store.compactions;
       Store.close recovered;
-      (* ...but an explicit config is applied after recovery, so it wins *)
+      (* ...but an explicit config is applied after recovery, so it wins:
+         limit 0 compacts the recovered journal at the next stabilise *)
       let overridden =
         Store.open_file
-          ~config:{ Store.Config.default with durability = Store.Snapshot }
+          ~config:{ Store.Config.default with compaction_limit = 0; group_window = 4 }
           path
       in
-      check_bool "explicit config overrides the recovered mode" true
-        (Store.durability overridden = Store.Snapshot);
+      check_int "journal recovered before the config applies" 2
+        (Store.stats overridden).Store.journal_depth;
+      let c = Store.config overridden in
+      check_int "explicit compaction limit wins" 0 c.Store.Config.compaction_limit;
+      check_int "explicit group window wins" 4 c.Store.Config.group_window;
+      Store.set_root overridden "b" (Pvalue.Int 4l);
+      Store.stabilise overridden;
+      let st = Store.stats overridden in
+      check_int "limit 0 compacts" 1 st.Store.compactions;
+      check_int "fresh journal" 0 st.Store.journal_depth;
       Store.close overridden)
 
 let construction_config_reaches_obs () =

@@ -258,7 +258,6 @@ let with_store_files f =
 let journalled_roundtrip () =
   with_store_files (fun path ->
       let store = fresh_store () in
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       let s = Store.alloc_string store "persist me" in
       Store.set_root store "s" (Pvalue.Ref s);
       Store.stabilise ~path store;
@@ -272,8 +271,15 @@ let journalled_roundtrip () =
       check_int "still one compaction" 1 (Store.stats store).Store.compactions;
       Store.close store;
       let store2 = Store.open_file path in
-      check_bool "journalled on reopen" true (Store.durability store2 = Store.Journalled);
       check_int "replayed" 2 (Store.stats store2).Store.journal_replayed;
+      (* the reopened store keeps journalling: its next stabilise appends *)
+      let st = Store.stats store2 in
+      Store.set_root store2 "m" (Pvalue.Int 6l);
+      Store.stabilise store2;
+      let st' = Store.stats store2 in
+      check_int "stabilise after reopen appends" (st.Store.journal_depth + 1)
+        st'.Store.journal_depth;
+      check_int "no compaction after reopen" st.Store.compactions st'.Store.compactions;
       check_output "string preserved" "persist me" (Store.get_string store2 s);
       check_bool "root preserved" true (Store.root store2 "n" = Some (Pvalue.Int 5l));
       check_bool "blob preserved" true (Store.blob store2 "b" = Some "bytes");
@@ -283,7 +289,6 @@ let journalled_roundtrip () =
 let journal_compaction_bounds_depth () =
   with_store_files (fun path ->
       let store = fresh_store () in
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       Store.configure store { (Store.config store) with Store.Config.compaction_limit = 10 };
       Store.stabilise ~path store;
       for i = 1 to 50 do
@@ -298,10 +303,33 @@ let journal_compaction_bounds_depth () =
       check_bool "final value durable" true (Store.root s2 "x" = Some (Pvalue.Int 50l));
       Store.close s2)
 
+(* Stabilising a backed store to another path re-points it: the new file
+   gets a full image of the current state, not a journal append that
+   only the old image could replay. *)
+let stabilise_to_new_path_writes_full_image () =
+  with_store_files (fun path ->
+      with_store_files (fun path2 ->
+          let store = fresh_store () in
+          Store.set_root store "a" (Pvalue.Int 1l);
+          Store.stabilise ~path store;
+          Store.set_root store "b" (Pvalue.Int 2l);
+          Store.stabilise ~path:path2 store;
+          check_bool "backing moved" true (Store.backing store = Some path2);
+          Store.set_root store "c" (Pvalue.Int 3l);
+          Store.stabilise store;
+          Store.close store;
+          let s2 = Store.open_file path2 in
+          List.iter
+            (fun (k, v) -> check_bool k true (Store.root s2 k = Some (Pvalue.Int v)))
+            [ ("a", 1l); ("b", 2l); ("c", 3l) ];
+          Store.close s2;
+          let s1 = Store.open_file path in
+          check_bool "old file keeps its own state" true (Store.root s1 "b" = None);
+          Store.close s1))
+
 let rollback_truncates_journal () =
   with_store_files (fun path ->
       let store = fresh_store () in
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       let keep = Store.alloc_string store "keep" in
       Store.set_root store "keep" (Pvalue.Ref keep);
       Store.stabilise ~path store;
@@ -344,7 +372,6 @@ let rollback_truncates_journal () =
 let rollback_restores_after_gc_compaction_refused () =
   with_store_files (fun path ->
       let store = fresh_store () in
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       let junk = Store.alloc_string store "junk" in
       Store.stabilise ~path store;
       let result =
@@ -368,7 +395,6 @@ let rollback_restores_after_gc_compaction_refused () =
 let rollback_defers_over_limit_compaction () =
   with_store_files (fun path ->
       let store = fresh_store () in
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       Store.configure store { (Store.config store) with Store.Config.compaction_limit = 0 };
       Store.stabilise ~path store;
       let compactions () = (Store.stats store).Store.compactions in
@@ -444,6 +470,7 @@ let suite =
     test "integrity: clean store" integrity_clean_store;
     test "integrity: dangling reference" integrity_detects_dangling;
     test "integrity: bad root" integrity_detects_bad_root;
+    test "stabilise to a new path writes a full image" stabilise_to_new_path_writes_full_image;
   ]
 
 (* -- properties ---------------------------------------------------------------- *)
