@@ -1,208 +1,57 @@
 (* Bench regression gate for the @bench-smoke and @bench-macro-smoke
-   aliases.
+   aliases, and the baseline self-check in the default runtest.
 
    Usage: bench_gate FRESH.json BASELINE.json
 
    Works for both trajectory files (BENCH_pstore.json from the micro
-   bench, BENCH_macro.json from the macro-workload harness): first
-   validates the fresh file's schema — the benchmark kinds of the two
-   files must agree, and a macro file must carry the recovery object
-   (recovery_ms, repair_ms, degraded_ops, quarantined_after), the
-   session-conflict counter (commit_conflicts) and a
-   sustained-throughput figure —
-   then compares the p50 latency of every op-class section present in
-   BOTH files and fails (exit 1) when the fresh run has regressed more
-   than 2x against the committed baseline.  Sections new to the fresh
-   run are reported but never gate — the baseline grows when they are
+   bench, BENCH_macro.json from the macro-workload harness).  Both files
+   go through the same reader and schema check (lib/trajectory: one
+   balanced object, the required keys and sections of its benchmark
+   kind, at least one section, every p50 a number and every throughput
+   positive; the baseline must be of the fresh file's kind).  Then the
+   p50 of every section present in BOTH files is compared: a section
+   fails when the fresh run is more than [Trajectory.tolerance] (2x)
+   slower and above the 1 ms noise floor.  Sections new to the fresh run
+   are reported but never gate — the baseline grows when they are
    committed.  The 2x bound is deliberately loose: smoke budgets are
    small, so the gate catches order-of-magnitude regressions (a lost
    cache, an extra fsync, a recovery that re-reads the world), not
-   noise. *)
+   noise.
 
-let tolerance = 2.0
-
-(* Sections with sub-millisecond p50s (the wire-protocol net-* RTTs,
-   in-process session commits) are scheduler-noise-dominated at smoke
-   sample counts: a 2x swing there is tens of microseconds.  Ratio
-   failures only count when the fresh p50 is also above this floor, so
-   the gate still catches any microsecond op degrading to milliseconds. *)
-let noise_floor_ns = 1e6
-
-(* -- minimal parsing of the BENCH_pstore.json shape ----------------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Extract [(name, p50_ns)] from the sections array.  The file is
-   produced by our own renderer, so positional scanning over the known
-   key order is sufficient — no JSON library needed. *)
-let sections_of json =
-  let find_from pos pat =
-    let n = String.length pat in
-    let limit = String.length json - n in
-    let rec go i =
-      if i > limit then None
-      else if String.sub json i n = pat then Some (i + n)
-      else go (i + 1)
-    in
-    go pos
-  in
-  let string_at pos =
-    let close = String.index_from json pos '"' in
-    (String.sub json pos (close - pos), close)
-  in
-  let float_at pos =
-    let stop = ref pos in
-    let len = String.length json in
-    while
-      !stop < len
-      && (match json.[!stop] with
-         | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-         | _ -> false)
-    do
-      incr stop
-    done;
-    float_of_string (String.sub json pos (!stop - pos))
-  in
-  let rec collect pos acc =
-    match find_from pos {|"name": "|} with
-    | None -> List.rev acc
-    | Some p -> (
-        let name, after = string_at p in
-        match find_from after {|"p50_ns": |} with
-        | None -> List.rev acc
-        | Some q -> collect q ((name, float_at q) :: acc))
-  in
-  collect 0 []
-
-(* -- schema validation ----------------------------------------------------- *)
-
-let contains data needle =
-  let n = String.length needle in
-  let rec go i = i + n <= String.length data && (String.sub data i n = needle || go (i + 1)) in
-  go 0
-
-(* The benchmark kind declared by a trajectory file ("pstore", "macro"). *)
-let kind_of json =
-  let pat = {|"benchmark": "|} in
-  let n = String.length pat in
-  let rec go i =
-    if i + n > String.length json then None
-    else if String.sub json i n = pat then begin
-      let close = String.index_from json (i + n) '"' in
-      Some (String.sub json (i + n) (close - (i + n)))
-    end
-    else go (i + 1)
-  in
-  go 0
-
-(* Structural check: balanced braces/brackets outside strings, plus the
-   keys each benchmark kind's consumers rely on.  Returns the error list
-   (empty = valid). *)
-let schema_errors ~kind json =
-  let depth = ref 0 and in_string = ref false and escaped = ref false in
-  let balanced = ref true in
-  String.iter
-    (fun c ->
-      if !escaped then escaped := false
-      else if !in_string then begin
-        if c = '\\' then escaped := true else if c = '"' then in_string := false
-      end
-      else
-        match c with
-        | '"' -> in_string := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-          decr depth;
-          if !depth < 0 then balanced := false
-        | _ -> ())
-    json;
-  let structural =
-    if (not !balanced) || !depth <> 0 || !in_string then [ "unbalanced JSON structure" ] else []
-  in
-  let required =
-    [ {|"schema_version"|}; {|"sections"|}; {|"ops_per_sec"|}; {|"p50_ns"|}; {|"p99_ns"|} ]
-    @
-    match kind with
-    | "macro" ->
-      [
-        {|"sustained_ops_per_sec"|};
-        {|"recovery"|};
-        {|"recovery_ms"|};
-        {|"repair_ms"|};
-        {|"degraded_ops"|};
-        {|"quarantined_after"|};
-        {|"commit_conflicts"|};
-        {|"total_ops"|};
-        {|"net"|};
-        {|"connections_per_sec"|};
-      ]
-    | _ ->
-      (* a pstore trajectory must carry the sharded-stabilise scaling
-         sections alongside the overhead object *)
-      [
-        {|"tracing_overhead"|};
-        {|"name": "stabilise-par-4"|};
-        {|"name": "scrub-par-4"|};
-      ]
-  in
-  structural @ List.filter_map
-    (fun k -> if contains json k then None else Some ("missing key " ^ k))
-    required
+   Exit codes: 0 ok, 1 a section regressed, 2 malformed input (either
+   file) or bad usage. *)
 
 let () =
-  let fresh_path, base_path =
+  let fresh, baseline =
     match Sys.argv with
     | [| _; f; b |] -> (f, b)
     | _ ->
-        prerr_endline "usage: bench_gate FRESH.json BASELINE.json";
-        exit 2
+      prerr_endline "usage: bench_gate FRESH.json BASELINE.json";
+      exit 2
   in
-  let fresh_json = read_file fresh_path and base_json = read_file base_path in
-  let kind json = Option.value (kind_of json) ~default:"pstore" in
-  let fresh_kind = kind fresh_json and base_kind = kind base_json in
-  if fresh_kind <> base_kind then begin
-    Printf.eprintf "bench gate: benchmark kind mismatch: %s is %S but %s is %S\n" fresh_path
-      fresh_kind base_path base_kind;
-    exit 2
-  end;
-  (match schema_errors ~kind:fresh_kind fresh_json with
-  | [] -> Printf.printf "== bench gate: %s schema ok (%s) ==\n" fresh_path fresh_kind
-  | errs ->
-    List.iter (fun e -> Printf.eprintf "bench gate: %s: %s\n" fresh_path e) errs;
-    exit 2);
-  let fresh = sections_of fresh_json in
-  let base = sections_of base_json in
-  if fresh = [] then begin
-    Printf.eprintf "bench gate: no sections found in %s\n" fresh_path;
-    exit 2
-  end;
-  let failures = ref 0 in
-  Printf.printf "== bench gate: p50 vs committed baseline (tolerance %.1fx) ==\n"
-    tolerance;
-  List.iter
-    (fun (name, p50) ->
-      match List.assoc_opt name base with
-      | None -> Printf.printf "  %-20s %12.1f ns   (new section, not gated)\n" name p50
-      | Some base_p50 ->
-          let ratio = p50 /. Float.max base_p50 1e-9 in
-          let failed = ratio > tolerance && p50 > noise_floor_ns in
-          let verdict = if failed then "FAIL" else "ok" in
-          if failed then incr failures;
-          Printf.printf "  %-20s %12.1f ns   baseline %12.1f ns   %5.2fx  %s\n"
-            name p50 base_p50 ratio verdict)
-    fresh;
-  List.iter
-    (fun (name, _) ->
-      if not (List.mem_assoc name fresh) then
-        Printf.printf "  %-20s missing from the fresh run (not gated)\n" name)
-    base;
-  if !failures > 0 then begin
-    Printf.eprintf "bench gate: %d op class(es) regressed more than %.1fx in p50\n"
-      !failures tolerance;
-    exit 1
-  end;
-  print_endline "bench gate: ok"
+  let verdict = Trajectory.gate ~fresh ~baseline in
+  (match verdict with
+  | Trajectory.Malformed (path, e) ->
+    Printf.eprintf "bench gate: %s: %s\n" path (Trajectory.error_to_string e)
+  | Trajectory.Compared { kind; rows; dropped } ->
+    Printf.printf "== bench gate: %s and %s schema ok (%s) ==\n" fresh baseline kind;
+    Printf.printf "== bench gate: p50 vs committed baseline (tolerance %.1fx) ==\n"
+      Trajectory.tolerance;
+    List.iter
+      (fun (r : Trajectory.row) ->
+        match r.base_p50 with
+        | None ->
+          Printf.printf "  %-20s %12.1f ns   (new section, not gated)\n" r.row_name r.fresh_p50
+        | Some base ->
+          Printf.printf "  %-20s %12.1f ns   baseline %12.1f ns   %5.2fx  %s\n" r.row_name
+            r.fresh_p50 base
+            (r.fresh_p50 /. Float.max base 1e-9)
+            (if r.regressed then "FAIL" else "ok"))
+      rows;
+    List.iter (Printf.printf "  %-20s missing from the fresh run (not gated)\n") dropped;
+    let failures = List.length (List.filter (fun (r : Trajectory.row) -> r.regressed) rows) in
+    if failures > 0 then
+      Printf.eprintf "bench gate: %d op class(es) regressed more than %.1fx in p50\n" failures
+        Trajectory.tolerance
+    else print_endline "bench gate: ok");
+  exit (Trajectory.exit_code verdict)

@@ -9,14 +9,20 @@
    per-op-class end-to-end p50/p99, in-process session-commit latency
    with the first-committer-wins conflict count, and post-crash
    recovery time.  The
-   file is self-validated after writing and gated against the committed
-   baseline by bench_gate (see the @bench-macro-smoke alias).
+   file is read back through lib/trajectory after writing and gated
+   against the committed baseline by bench_gate (see the
+   @bench-macro-smoke alias).
 
      macro_main [--smoke] [--seed N] [--users N] [--ops N] [--shards N] [--no-crash]
 
    Any failure prints the exact --seed replay line. *)
 
 let output_file = "BENCH_macro.json"
+
+let print_sections =
+  List.iter (fun (s : Trajectory.section) ->
+      Printf.printf "  %-12s %4d ops   %8.2f ops/s   p50 %8.1f ms   p99 %8.1f ms\n%!" s.name s.count
+        s.ops_per_sec (s.p50_ns /. 1e6) (s.p99_ns /. 1e6))
 
 let () =
   let smoke = ref false in
@@ -113,13 +119,7 @@ let () =
       exit 1
     end);
   let report = Workload.Report.of_play ~smoke:!smoke play in
-  List.iter
-    (fun (s : Workload.Report.section) ->
-      Printf.printf "  %-12s %4d ops   %8.2f ops/s   p50 %8.1f ms   p99 %8.1f ms\n%!"
-        s.Workload.Report.name s.Workload.Report.count s.Workload.Report.ops_per_sec
-        (s.Workload.Report.p50_ns /. 1e6)
-        (s.Workload.Report.p99_ns /. 1e6))
-    report.Workload.Report.sections;
+  print_sections report.Workload.Report.sections;
   Printf.printf "  sustained: %.2f ops/s over %.2f s (%d ops)\n%!"
     report.Workload.Report.sustained_ops_per_sec report.Workload.Report.elapsed_s
     report.Workload.Report.total_ops;
@@ -175,13 +175,7 @@ let () =
     load.Workload.Netload.clients load.Workload.Netload.rounds load.Workload.Netload.connections
     (Workload.Netload.connections_per_sec load)
     load.Workload.Netload.commits load.Workload.Netload.conflicts load.Workload.Netload.errors;
-  List.iter
-    (fun (s : Workload.Report.section) ->
-      Printf.printf "  %-12s %4d ops   %8.2f ops/s   p50 %8.1f ms   p99 %8.1f ms\n%!"
-        s.Workload.Report.name s.Workload.Report.count s.Workload.Report.ops_per_sec
-        (s.Workload.Report.p50_ns /. 1e6)
-        (s.Workload.Report.p99_ns /. 1e6))
-    (Workload.Report.net_sections_of_load load);
+  print_sections (Workload.Report.net_sections_of_load load);
   (* K clients contending one root every round: anything less than one
      conflict per round means the server stopped detecting races *)
   if load.Workload.Netload.conflicts < net_rounds * (net_clients - 1) then begin
@@ -200,12 +194,13 @@ let () =
       report with
       Workload.Report.sections =
         report.Workload.Report.sections @ Workload.Report.net_sections_of_load load;
-      net = Some (Workload.Report.net_of_load load);
+      net = Some load;
     }
   in
   match Workload.Report.write ~path:output_file report with
   | Ok () -> Printf.printf "  wrote %s (%d sections, validated)\n%!" output_file
                (List.length report.Workload.Report.sections)
   | Error e ->
-    Printf.eprintf "macro: %s INVALID: %s — %s\n" output_file e replay;
+    Printf.eprintf "macro: %s INVALID: %s — %s\n" output_file (Trajectory.error_to_string e)
+      replay;
     exit 1

@@ -3,10 +3,14 @@
    per-sample ns/op distribution) and the results are written to
    BENCH_pstore.json so runs can be compared over time.
 
-   The file is self-validated after writing (re-read, structural check)
-   and the run hard-fails if the tracing-disabled instrumentation
-   overhead on the hottest read path exceeds a generous bound — the
-   observability layer must stay invisible while tracing is off.
+   The file follows the lib/trajectory contract (percentile rule,
+   section summary, required keys): it is read back through
+   [Trajectory.verify_written] after writing, and bench/bench_gate.ml
+   compares it against the committed baseline (exit 0 ok, 1 regression,
+   2 malformed input).  The run hard-fails if the tracing-disabled
+   instrumentation overhead on the hottest read path exceeds a generous
+   bound — the observability layer must stay invisible while tracing is
+   off.
 
    `--smoke` shrinks every budget so the whole thing is a ~1 s slice
    suitable for the @bench-smoke alias. *)
@@ -17,23 +21,6 @@ open Hyperprog
 (* ---------------------------------------------------------------------- *)
 (* Sampling                                                                *)
 (* ---------------------------------------------------------------------- *)
-
-type section = {
-  name : string;
-  ops_per_sec : float;
-  p50_ns : float;
-  p99_ns : float;
-  samples : int;  (* timed batches *)
-  iters : int;  (* ops per batch *)
-}
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else begin
-    let rank = int_of_float (ceil (p *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
-  end
 
 (* Time [f] in batches for [budget_s] seconds.  The batch size is
    calibrated so one batch costs a couple of milliseconds, which keeps
@@ -48,35 +35,22 @@ let measure ~budget_s ~name f =
   let once = Unix.gettimeofday () -. t0 in
   let iters = max 1 (min 10_000 (int_of_float (0.002 /. Float.max once 1e-9))) in
   let samples = ref [] in
-  let n_samples = ref 0 in
-  let total_iters = ref 0 in
   let start = Unix.gettimeofday () in
   let deadline = start +. budget_s in
-  while !n_samples = 0 || Unix.gettimeofday () < deadline do
+  while !samples = [] || Unix.gettimeofday () < deadline do
     let t0 = Unix.gettimeofday () in
     for _ = 1 to iters do
       f ()
     done;
     let dt = Unix.gettimeofday () -. t0 in
-    samples := (dt /. float_of_int iters *. 1e9) :: !samples;
-    incr n_samples;
-    total_iters := !total_iters + iters
+    samples := (dt /. float_of_int iters *. 1e9) :: !samples
   done;
-  let elapsed = Unix.gettimeofday () -. start in
-  let sorted = Array.of_list !samples in
-  Array.sort compare sorted;
+  let elapsed_s = Unix.gettimeofday () -. start in
   let s =
-    {
-      name;
-      ops_per_sec = float_of_int !total_iters /. elapsed;
-      p50_ns = percentile sorted 0.50;
-      p99_ns = percentile sorted 0.99;
-      samples = !n_samples;
-      iters;
-    }
+    Trajectory.section ~ops:(List.length !samples * iters) ~elapsed_s ~name !samples
   in
   Printf.printf "  %-20s %14.0f ops/s   p50 %10.1f ns   p99 %10.1f ns   (%d x %d)\n%!"
-    s.name s.ops_per_sec s.p50_ns s.p99_ns s.samples s.iters;
+    s.name s.ops_per_sec s.p50_ns s.p99_ns s.count iters;
   s
 
 (* ---------------------------------------------------------------------- *)
@@ -290,7 +264,7 @@ let sections ~budget_s =
   let stabilise_par_1 = stabilise_par ~shards:1 ~name:"stabilise-par-1" in
   let stabilise_par_2 = stabilise_par ~shards:2 ~name:"stabilise-par-2" in
   let stabilise_par_4 = stabilise_par ~shards:4 ~name:"stabilise-par-4" in
-  let speedup label fast slow =
+  let speedup label (fast : Trajectory.section) (slow : Trajectory.section) =
     Printf.printf "  %-38s %6.1fx  (%s vs %s)\n%!" label
       (fast.ops_per_sec /. Float.max slow.ops_per_sec 1e-9)
       fast.name slow.name
@@ -378,18 +352,6 @@ let overhead_check ~smoke () =
 (* JSON out                                                                *)
 (* ---------------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_json ~smoke sections overhead =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
@@ -398,12 +360,13 @@ let render_json ~smoke sections overhead =
   Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
   Buffer.add_string buf "  \"sections\": [\n";
   List.iteri
-    (fun i s ->
+    (fun i (s : Trajectory.section) ->
       Buffer.add_string buf
         (Printf.sprintf
            "    { \"name\": \"%s\", \"ops_per_sec\": %.1f, \"p50_ns\": %.1f, \
             \"p99_ns\": %.1f, \"samples\": %d, \"iters_per_sample\": %d }%s\n"
-           (json_escape s.name) s.ops_per_sec s.p50_ns s.p99_ns s.samples s.iters
+           (Trajectory.json_escape s.name) s.ops_per_sec s.p50_ns s.p99_ns s.count
+           (s.ops / s.count)
            (if i < List.length sections - 1 then "," else "")))
     sections;
   Buffer.add_string buf "  ],\n";
@@ -415,51 +378,6 @@ let render_json ~smoke sections overhead =
        overhead.ok);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-(* A structural re-read of the emitted file: balanced braces/brackets
-   outside strings, and every key the trajectory consumers rely on.
-   Not a JSON parser — a tripwire against a malformed emitter. *)
-let validate_file ~path sections =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let data = really_input_string ic len in
-  close_in ic;
-  let depth = ref 0 and in_string = ref false and escaped = ref false in
-  let balanced = ref true in
-  String.iter
-    (fun c ->
-      if !escaped then escaped := false
-      else if !in_string then begin
-        if c = '\\' then escaped := true else if c = '"' then in_string := false
-      end
-      else
-        match c with
-        | '"' -> in_string := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-          decr depth;
-          if !depth < 0 then balanced := false
-        | _ -> ())
-    data;
-  let contains needle =
-    let n = String.length needle in
-    let rec go i =
-      i + n <= String.length data && (String.sub data i n = needle || go (i + 1))
-    in
-    go 0
-  in
-  let missing =
-    List.filter
-      (fun k -> not (contains k))
-      ([ "\"benchmark\": \"pstore\""; "\"sections\""; "\"tracing_overhead\"" ]
-      @ List.map (fun s -> Printf.sprintf "\"name\": \"%s\"" s.name) sections)
-  in
-  if (not !balanced) || !depth <> 0 || !in_string then
-    Error "unbalanced structure"
-  else if missing <> [] then Error ("missing " ^ String.concat ", " missing)
-  else if List.exists (fun s -> s.ops_per_sec <= 0.) sections then
-    Error "non-positive throughput"
-  else Ok ()
 
 (* ---------------------------------------------------------------------- *)
 
@@ -474,9 +392,9 @@ let run ~smoke () =
   let oc = open_out output_file in
   output_string oc (render_json ~smoke sections overhead);
   close_out oc;
-  match validate_file ~path:output_file sections with
+  match Trajectory.verify_written ~kind:"pstore" output_file sections with
   | Error e ->
-    Printf.printf "  %s INVALID: %s\n%!" output_file e;
+    Printf.printf "  %s INVALID: %s\n%!" output_file (Trajectory.error_to_string e);
     false
   | Ok () ->
     Printf.printf "  wrote %s (%d sections, validated)\n%!" output_file

@@ -236,14 +236,6 @@ let counts t =
 
 let total t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.counters
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else begin
-    let rank = int_of_float (ceil (p *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
-  end
-
 let latency t op =
   let h = t.hists.(op_index op) in
   if h.timed = 0 then None
@@ -253,8 +245,8 @@ let latency t op =
     Some
       {
         timed = h.timed;
-        p50_ns = percentile sorted 0.50;
-        p99_ns = percentile sorted 0.99;
+        p50_ns = Trajectory.percentile sorted 0.50;
+        p99_ns = Trajectory.percentile sorted 0.99;
         max_ns = h.max_ns;
       }
   end

@@ -2138,9 +2138,9 @@ let with_rollback store f =
 
    [Session.t] is the unit of isolation.  Two kinds share the handle:
 
-   - the implicit DEFAULT session ([default_session]), through which
-     every legacy single-owner call below routes: its operations pass
-     straight through to the shared state, exactly as they always did;
+   - the implicit DEFAULT session ([default_session]): its operations
+     are the top-level single-owner calls above, acting straight on the
+     shared state;
 
    - SNAPSHOT sessions ([open_session]): each pins the committed-write
      epoch at open, reads a byte-stable view of that instant (plus its
@@ -2797,8 +2797,8 @@ let open_session store =
   m.open_sessions <- s :: m.open_sessions;
   s
 
-(* The implicit default session (id 0): the handle the legacy
-   single-owner calls below route through. *)
+(* The implicit default session (id 0): a [Direct] handle whose every
+   operation is the top-level store call of the same name. *)
 let default_session store =
   match store.mvcc.implicit with
   | Some s -> s
@@ -2806,39 +2806,3 @@ let default_session store =
     let s = fresh_session store ~id:0 Direct in
     store.mvcc.implicit <- Some s;
     s
-
-(* -- the legacy single-owner surface ---------------------------------------
-
-   Thin wrappers over the implicit default session.  Each is exactly one
-   kind-dispatch away from the direct implementation above; code that
-   owns a store alone keeps its old API, code that shares one opens
-   sessions. *)
-
-let set_root store name v = Session.set_root (default_session store) name v
-let root store name = Session.root (default_session store) name
-let remove_root store name = Session.remove_root (default_session store) name
-let root_names store = Session.root_names (default_session store)
-let alloc_record store class_name fields = Session.alloc_record (default_session store) class_name fields
-let alloc_array store elem_type elems = Session.alloc_array (default_session store) elem_type elems
-let alloc_string store s = Session.alloc_string (default_session store) s
-let alloc_weak store target = Session.alloc_weak (default_session store) target
-let get store oid = Session.get (default_session store) oid
-let find store oid = Session.find (default_session store) oid
-let is_live store oid = Session.is_live (default_session store) oid
-let class_of store oid = Session.class_of (default_session store) oid
-let get_record store oid = Session.get_record (default_session store) oid
-let get_array store oid = Session.get_array (default_session store) oid
-let get_string store oid = Session.get_string (default_session store) oid
-let get_weak store oid = Session.get_weak (default_session store) oid
-let field store oid idx = Session.field (default_session store) oid idx
-let set_field store oid idx v = Session.set_field (default_session store) oid idx v
-let elem store oid idx = Session.elem (default_session store) oid idx
-let set_elem store oid idx v = Session.set_elem (default_session store) oid idx v
-let array_length store oid = Session.array_length (default_session store) oid
-let try_get store oid = Session.try_get (default_session store) oid
-let try_field store oid idx = Session.try_field (default_session store) oid idx
-let set_blob store key data = Session.set_blob (default_session store) key data
-let blob store key = Session.blob (default_session store) key
-let remove_blob store key = Session.remove_blob (default_session store) key
-let blob_keys store = Session.blob_keys (default_session store)
-let string_value store v = Session.string_value (default_session store) v

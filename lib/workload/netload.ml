@@ -18,8 +18,8 @@ type result = {
   connect_total_s : float;  (* wall time spent in connect+hello *)
   samples : (string * float list) list;  (* op class -> RTT ns, first-use order *)
   commits : int;
-  conflicts : int;
-  errors : int;
+  conflicts : int;  (* typed conflict frames answered (first committer wins) *)
+  errors : int;  (* typed error frames answered *)
   elapsed_s : float;
 }
 

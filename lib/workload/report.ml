@@ -1,10 +1,11 @@
 (* The BENCH_macro.json emitter.
 
-   Same contract as bench/pstore_bench.ml's BENCH_pstore.json: a
-   machine-readable trajectory, self-validated after writing (re-read,
-   structural check) so a malformed emitter can never silently pollute
-   the committed baseline, and consumed by bench/bench_gate.ml for the
-   p50 regression gate.
+   Same contract as bench/pstore_bench.ml's BENCH_pstore.json, owned by
+   lib/trajectory (percentile rule, section summary, required keys): a
+   machine-readable trajectory, read back through the shared reader
+   after writing so a malformed emitter can never silently pollute the
+   committed baseline, and consumed by bench/bench_gate.ml for the p50
+   regression gate (exit 0 ok, 1 regression, 2 malformed input).
 
    Sections are end-to-end op classes (one hpjava subprocess each:
    process start to exit), so the latencies here are what a user at a
@@ -16,14 +17,6 @@
    first-committer-wins.  The [recovery] object records the
    injected-crash outcome: how long the first
    reopen-plus-integrity-check took and how much debris it found. *)
-
-type section = {
-  name : string;
-  count : int;
-  ops_per_sec : float;
-  p50_ns : float;
-  p99_ns : float;
-}
 
 type recovery = {
   injected : bool;
@@ -37,19 +30,6 @@ type recovery = {
   lost_roots : int;
 }
 
-(* The many-client server slice (lib/workload/netload.ml): wire-protocol
-   RTT sections ride in [sections] as net-* entries; the headline
-   connection figures and the contended-commit outcome live here. *)
-type net = {
-  net_clients : int;
-  net_rounds : int;
-  net_connections : int;
-  connections_per_sec : float;
-  net_commits : int;
-  net_conflicts : int;  (* typed conflict frames answered (first committer wins) *)
-  net_errors : int;  (* typed error frames answered *)
-}
-
 type t = {
   smoke : bool;
   seed : int;
@@ -59,9 +39,11 @@ type t = {
   sustained_ops_per_sec : float;
   commit_conflicts : int;
       (* session commits refused first-committer-wins across the play *)
-  sections : section list;
+  sections : Trajectory.section list;
   recovery : recovery;
-  net : net option;
+  net : Netload.result option;
+      (* the many-client server slice: its RTT classes ride in [sections]
+         as net-* entries, its headline counts in the "net" object *)
 }
 
 let no_recovery =
@@ -79,54 +61,34 @@ let no_recovery =
 
 (* -- building from a play --------------------------------------------------- *)
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else begin
-    let rank = int_of_float (ceil (p *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
-  end
-
 (* One section per op class present in the play.  The process killed by
    the crash injector is excluded — its truncated lifetime is not a
    latency.  Order: by first appearance, so the file is stable across
    runs of the same scenario. *)
 let sections_of_play (play : Scenario.play) =
-  let order = ref [] in
-  let samples : (string, float list ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Scenario.exec) ->
-      let killed =
-        match play.Scenario.crash with
-        | Some c -> c.Scenario.step_index = e.Scenario.index && c.Scenario.killed
-        | None -> false
-      in
-      if not killed then begin
-        let cls = Scenario.op_class e.Scenario.step.Scenario.op in
-        let bucket =
-          match Hashtbl.find_opt samples cls with
-          | Some b -> b
-          | None ->
-            let b = ref [] in
-            Hashtbl.add samples cls b;
-            order := cls :: !order;
-            b
-        in
-        bucket := (e.Scenario.result.Subproc.elapsed_s *. 1e9) :: !bucket
-      end)
-    play.Scenario.execs;
-  List.rev !order
-  |> List.map (fun cls ->
-         let ns = Array.of_list !(Hashtbl.find samples cls) in
-         Array.sort compare ns;
-         let total_s = Array.fold_left (fun acc x -> acc +. (x /. 1e9)) 0. ns in
-         {
-           name = cls;
-           count = Array.length ns;
-           ops_per_sec = float_of_int (Array.length ns) /. Float.max total_s 1e-9;
-           p50_ns = percentile ns 0.50;
-           p99_ns = percentile ns 0.99;
-         })
+  let killed (e : Scenario.exec) =
+    match play.Scenario.crash with
+    | Some c -> c.Scenario.step_index = e.Scenario.index && c.Scenario.killed
+    | None -> false
+  in
+  let samples =
+    List.filter_map
+      (fun (e : Scenario.exec) ->
+        if killed e then None
+        else
+          Some
+            ( Scenario.op_class e.Scenario.step.Scenario.op,
+              e.Scenario.result.Subproc.elapsed_s *. 1e9 ))
+      play.Scenario.execs
+  in
+  let classes =
+    List.fold_left (fun acc (c, _) -> if List.mem c acc then acc else c :: acc) [] samples
+  in
+  List.rev_map
+    (fun cls ->
+      Trajectory.section ~name:cls
+        (List.filter_map (fun (c, ns) -> if c = cls then Some ns else None) samples))
+    classes
 
 (* Unlike the subprocess-lifetime sections above, [session-commit] is an
    IN-PROCESS latency: the shell times [Store.Session.commit] itself
@@ -135,49 +97,11 @@ let sections_of_play (play : Scenario.play) =
 let session_commit_section (play : Scenario.play) =
   match play.Scenario.commit_us with
   | [] -> []
-  | us ->
-    let ns = Array.of_list (List.map (fun u -> u *. 1e3) us) in
-    Array.sort compare ns;
-    let total_s = Array.fold_left (fun acc x -> acc +. (x /. 1e9)) 0. ns in
-    [
-      {
-        name = "session-commit";
-        count = Array.length ns;
-        ops_per_sec = float_of_int (Array.length ns) /. Float.max total_s 1e-9;
-        p50_ns = percentile ns 0.50;
-        p99_ns = percentile ns 0.99;
-      };
-    ]
-
-(* One section from raw nanosecond samples — how the netload RTT classes
-   enter the same sections array (and so the same p50 gate) as the
-   subprocess op classes. *)
-let section_of_ns ~name ns_list =
-  let ns = Array.of_list ns_list in
-  Array.sort compare ns;
-  let total_s = Array.fold_left (fun acc x -> acc +. (x /. 1e9)) 0. ns in
-  {
-    name;
-    count = Array.length ns;
-    ops_per_sec = float_of_int (Array.length ns) /. Float.max total_s 1e-9;
-    p50_ns = percentile ns 0.50;
-    p99_ns = percentile ns 0.99;
-  }
-
-let net_of_load (load : Netload.result) =
-  {
-    net_clients = load.Netload.clients;
-    net_rounds = load.Netload.rounds;
-    net_connections = load.Netload.connections;
-    connections_per_sec = Netload.connections_per_sec load;
-    net_commits = load.Netload.commits;
-    net_conflicts = load.Netload.conflicts;
-    net_errors = load.Netload.errors;
-  }
+  | us -> [ Trajectory.section ~name:"session-commit" (List.map (fun u -> u *. 1e3) us) ]
 
 let net_sections_of_load (load : Netload.result) =
   List.filter_map
-    (fun (op, ns) -> if ns = [] then None else Some (section_of_ns ~name:op ns))
+    (fun (op, ns) -> if ns = [] then None else Some (Trajectory.section ~name:op ns))
     load.Netload.samples
 
 let of_play ~smoke (play : Scenario.play) =
@@ -213,18 +137,6 @@ let of_play ~smoke (play : Scenario.play) =
 
 (* -- JSON out ---------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render t =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -240,11 +152,11 @@ let render t =
   add "  \"commit_conflicts\": %d,\n" t.commit_conflicts;
   add "  \"sections\": [\n";
   List.iteri
-    (fun i s ->
+    (fun i (s : Trajectory.section) ->
       add
         "    { \"name\": \"%s\", \"count\": %d, \"ops_per_sec\": %.2f, \"p50_ns\": %.1f, \
          \"p99_ns\": %.1f }%s\n"
-        (json_escape s.name) s.count s.ops_per_sec s.p50_ns s.p99_ns
+        (Trajectory.json_escape s.name) s.count s.ops_per_sec s.p50_ns s.p99_ns
         (if i < List.length t.sections - 1 then "," else ""))
     t.sections;
   add "  ],\n";
@@ -252,7 +164,7 @@ let render t =
     "  \"recovery\": { \"injected\": %b, \"killed\": %b, \"crashed_class\": \"%s\", \
      \"kill_byte\": %d, \"recovery_ms\": %.2f, \"repair_ms\": %.2f, \"degraded_ops\": %d, \
      \"quarantined_after\": %d, \"lost_roots\": %d }\n"
-    t.recovery.injected t.recovery.killed (json_escape t.recovery.crashed_class)
+    t.recovery.injected t.recovery.killed (Trajectory.json_escape t.recovery.crashed_class)
     t.recovery.kill_byte t.recovery.recovery_ms t.recovery.repair_ms t.recovery.degraded_ops
     t.recovery.quarantined_after t.recovery.lost_roots;
   (match t.net with
@@ -261,61 +173,12 @@ let render t =
     add
       "  ,\"net\": { \"clients\": %d, \"rounds\": %d, \"connections\": %d, \
        \"connections_per_sec\": %.2f, \"commits\": %d, \"conflicts\": %d, \"errors\": %d }\n"
-      n.net_clients n.net_rounds n.net_connections n.connections_per_sec n.net_commits
-      n.net_conflicts n.net_errors);
+      n.Netload.clients n.Netload.rounds n.Netload.connections (Netload.connections_per_sec n)
+      n.Netload.commits n.Netload.conflicts n.Netload.errors);
   add "}\n";
   Buffer.contents buf
-
-(* -- self-validation ---------------------------------------------------------- *)
-
-(* Structural re-read of the emitted file: balanced braces/brackets
-   outside strings plus every key the gate and the trajectory consumers
-   rely on.  A tripwire, not a JSON parser. *)
-let validate_file ~path t =
-  let data = Subproc.read_file path in
-  let depth = ref 0 and in_string = ref false and escaped = ref false in
-  let balanced = ref true in
-  String.iter
-    (fun c ->
-      if !escaped then escaped := false
-      else if !in_string then begin
-        if c = '\\' then escaped := true else if c = '"' then in_string := false
-      end
-      else
-        match c with
-        | '"' -> in_string := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-          decr depth;
-          if !depth < 0 then balanced := false
-        | _ -> ())
-    data;
-  let missing =
-    List.filter
-      (fun k -> not (Subproc.contains data k))
-      ([
-         "\"benchmark\": \"macro\"";
-         "\"sections\"";
-         "\"recovery\"";
-         "\"sustained_ops_per_sec\"";
-         "\"recovery_ms\"";
-         "\"repair_ms\"";
-         "\"degraded_ops\"";
-         "\"quarantined_after\"";
-         "\"commit_conflicts\"";
-         "\"net\"";
-       ]
-      @ (if t.net = None then [] else [ "\"connections_per_sec\"" ])
-      @ List.map (fun s -> Printf.sprintf "\"name\": \"%s\"" s.name) t.sections)
-  in
-  if (not !balanced) || !depth <> 0 || !in_string then Error "unbalanced structure"
-  else if missing <> [] then Error ("missing " ^ String.concat ", " missing)
-  else if List.exists (fun s -> s.ops_per_sec <= 0.) t.sections then
-    Error "non-positive throughput"
-  else if t.sections = [] then Error "no sections"
-  else Ok ()
 
 let write ~path t =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc (render t));
-  validate_file ~path t
+  Trajectory.verify_written ~kind:"macro" path t.sections

@@ -30,4 +30,5 @@ let () =
       ("fuzz", Test_fuzz_eval.suite @ Test_fuzz_eval.props);
       ("shell", Test_shell.suite @ Test_shell.props);
       ("transaction", Test_transaction.suite @ Test_transaction.props);
+      ("trajectory", Test_trajectory.suite @ Test_trajectory.props);
     ]
