@@ -11,9 +11,11 @@
    together.
 
    The commit/abort machinery itself lives in the store layer: this
-   module wraps [Store.Session.atomically] (whole-store rollback plus
-   the journalled commit barrier — the single-owner transaction on the
-   default session) and adds the VM lifecycle on top. *)
+   module wraps [Store.atomically] (whole-store rollback plus the
+   journalled commit barrier — the single-owner transaction over the
+   shared store) and adds the VM lifecycle on top.  It is not a
+   snapshot session: the VM boot and the compiler act through the
+   top-level store calls, so it sees and mutates live state. *)
 
 open Pstore
 open Minijava
@@ -33,7 +35,7 @@ let fresh_vm store =
 let transact store (body : Rt.t -> 'a) : 'a outcome =
   Obs.span (Store.obs store) Obs.Transaction (fun () ->
       match
-        Store.Session.atomically store (fun () ->
+        Store.atomically store (fun () ->
             let vm = fresh_vm store in
             let value = body vm in
             (value, vm))

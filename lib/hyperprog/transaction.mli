@@ -6,14 +6,13 @@
     pre-transaction image — classes, data and hyper-programs revert
     together — and a fresh VM is booted from the restored state.
 
-    There is exactly one commit/abort notion in the system, and it lives
-    in the store layer: {!transact} is [Store.Session.atomically]
-    (whole-store rollback, then the journalled commit barrier on
-    success) plus the VM lifecycle.  The snapshot-isolated multi-client
-    variant is [Store.open_session] / [Store.Session.commit]; this
-    module is the single-owner form on the default session, and — like
-    every default-session write — it refuses to run while snapshot
-    sessions are open. *)
+    The commit/abort machinery lives in the store layer: {!transact} is
+    [Store.atomically] (whole-store rollback, then the journalled commit
+    barrier on success) plus the VM lifecycle.  The snapshot-isolated
+    multi-client form is [Store.open_session] / [Store.Session.commit];
+    this module is the single-owner form over the shared store, and it
+    refuses to run while snapshot sessions are open (a whole-store
+    rollback would rewrite state under their snapshots). *)
 
 open Pstore
 open Minijava
@@ -27,7 +26,7 @@ val fresh_vm : Store.t -> Rt.t
     and installing the hyper-programming runtime. *)
 
 val transact : Store.t -> (Rt.t -> 'a) -> 'a outcome
-(** Run the body atomically ([Store.Session.atomically]): on a backed
+(** Run the body atomically ([Store.atomically]): on a backed
     store a successful transaction ends with the commit barrier — the
     delta is fsynced to the write-ahead journal, so commits survive a
     crash without a full image write.  An abort truncates the journal to

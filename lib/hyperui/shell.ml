@@ -77,14 +77,14 @@ let say fmt = Printf.printf fmt
    `health` must make clear that object counts are the session's
    snapshot view, never its dirty buffer. *)
 let session_banner = function
-  | Some s when Store.Session.is_snapshot s ->
+  | Some s ->
     let n = Store.Session.buffered_ops s in
     say "session %d (epoch %d): %d buffered op%s uncommitted; counts reflect the snapshot\n"
       (Store.Session.id s)
       (Store.Session.snapshot_epoch s)
       n
       (if n = 1 then "" else "s")
-  | Some _ | None -> ()
+  | None -> ()
 
 let cmd_health ?session store =
   let stats =
@@ -237,12 +237,22 @@ let run_session ~input ~echo store session =
       active := None;
       None
   in
-  (* The handle the root commands go through: the active snapshot
-     session, or the store's implicit default session. *)
-  let cur () =
+  (* Root reads and writes go through the active session, or straight
+     to the live store when none is open (direct mode). *)
+  let root name =
     match active_session () with
-    | Some s -> s
-    | None -> Store.default_session store
+    | Some s -> Store.Session.root s name
+    | None -> Store.root store name
+  in
+  let set_root name v =
+    match active_session () with
+    | Some s -> Store.Session.set_root s name v
+    | None -> Store.set_root store name v
+  in
+  let root_names () =
+    match active_session () with
+    | Some s -> Store.Session.root_names s
+    | None -> Store.root_names store
   in
   let quit = ref false in
   let handle line =
@@ -282,7 +292,7 @@ let run_session ~input ~echo store session =
     end
     | [ "browse" ] -> ignore (Browser.Ocb.open_roots b)
     | [ "browse"; "root"; name ] -> begin
-      match Store.Session.root (cur ()) name with
+      match root name with
       | Some (Pvalue.Ref oid) -> ignore (Browser.Ocb.open_object b oid)
       | Some v -> say "%s = %s\n" name (Pvalue.to_string v)
       | None -> say "no root %s\n" name
@@ -332,7 +342,7 @@ let run_session ~input ~echo store session =
     | [ "save"; name ] ->
       with_editor (fun ed ->
           let hp = Editor.User_editor.save ed in
-          Store.Session.set_root (cur ()) name (Pvalue.Ref hp);
+          set_root name (Pvalue.Ref hp);
           say "saved as root %s\n" name)
     | "session" :: rest -> begin
       match rest with
@@ -409,7 +419,7 @@ let run_session ~input ~echo store session =
       match int_of_string_opt value with
       | None -> say "usage: bind NAME N (N an integer)\n"
       | Some n ->
-        Store.Session.set_root (cur ()) name (Pvalue.Int (Int32.of_int n));
+        set_root name (Pvalue.Int (Int32.of_int n));
         say "%s = %d%s\n" name n
           (match active_session () with
           | Some s -> Printf.sprintf " (buffered in session %d)" (Store.Session.id s)
@@ -421,7 +431,7 @@ let run_session ~input ~echo store session =
       | Error e -> say "%s\n" e
     end
     | [ "load"; name ] -> begin
-      match Store.Session.root (cur ()) name with
+      match root name with
       | Some (Pvalue.Ref hp) when Storage_form.is_hyper_program vm hp ->
         let id, ed = Session.new_editor session in
         Editor.User_editor.load ed hp;
@@ -429,12 +439,11 @@ let run_session ~input ~echo store session =
       | _ -> say "root %s does not hold a hyper-program\n" name
     end
     | "roots" :: _ ->
-      let h = cur () in
       List.iter
         (fun name ->
-          let v = Option.value (Store.Session.root h name) ~default:Pvalue.Null in
+          let v = Option.value (root name) ~default:Pvalue.Null in
           say "%-24s %s\n" name (Pvalue.to_string v))
-        (Store.Session.root_names h)
+        (root_names ())
     | "census" :: _ -> print_string (Browser.Render.census store)
     | "gc" :: _ ->
       let stats = Store.gc store in

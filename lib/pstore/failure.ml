@@ -26,7 +26,7 @@ exception Shard_degraded of {
 }
 
 (* Raised by [Store.Session.commit]: first-committer-wins detection
-   found that another commit (or a direct default-session write)
+   found that another commit (or a top-level, sessionless write)
    touched part of this session's write set after its snapshot was
    pinned.  Carries the clashing oids and root/blob keys so the caller
    can open a fresh session and retry just the disputed work.  The

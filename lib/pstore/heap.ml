@@ -68,57 +68,64 @@ let get heap oid =
   | Some entry -> entry
   | None -> heap_error "dangling reference %a" Oid.pp oid
 
-let get_record heap oid =
-  match get heap oid with
+(* -- entry-level accessors: one decoding, one set of error texts, shared
+   by the oid-based functions below and by the store's snapshot readers
+   (which resolve an entry through their own view first). *)
+
+let entry_record oid = function
   | Record r -> r
   | Array _ | Str _ | Weak _ -> heap_error "%a is not a record" Oid.pp oid
 
-let get_array heap oid =
-  match get heap oid with
+let entry_array oid = function
   | Array a -> a
   | Record _ | Str _ | Weak _ -> heap_error "%a is not an array" Oid.pp oid
 
-let get_string heap oid =
-  match get heap oid with
+let entry_string oid = function
   | Str s -> s
   | Record _ | Array _ | Weak _ -> heap_error "%a is not a string" Oid.pp oid
 
-let get_weak heap oid =
-  match get heap oid with
+let entry_weak oid = function
   | Weak c -> c
   | Record _ | Array _ | Str _ -> heap_error "%a is not a weak cell" Oid.pp oid
 
-let class_of heap oid =
-  match get heap oid with
+let entry_class = function
   | Record r -> r.class_name
   | Array a -> a.elem_type ^ "[]"
   | Str _ -> "java.lang.String"
   | Weak _ -> "pstore.WeakReference"
 
-let field heap oid idx =
-  let r = get_record heap oid in
+let entry_container = function
+  | Record r -> r.class_name
+  | Array a -> a.elem_type ^ "[]"
+  | Str _ -> "string"
+  | Weak _ -> "weak cell"
+
+let field_slot oid entry idx =
+  let r = entry_record oid entry in
   if idx < 0 || idx >= Array.length r.fields then
     heap_error "field index %d out of range for %a (%s)" idx Oid.pp oid r.class_name;
-  r.fields.(idx)
+  r.fields
 
-let set_field heap oid idx v =
-  let r = get_record heap oid in
-  if idx < 0 || idx >= Array.length r.fields then
-    heap_error "field index %d out of range for %a (%s)" idx Oid.pp oid r.class_name;
-  r.fields.(idx) <- v
-
-let elem heap oid idx =
-  let a = get_array heap oid in
+let elem_slot oid entry idx =
+  let a = entry_array oid entry in
   if idx < 0 || idx >= Array.length a.elems then
     heap_error "array index %d out of bounds (length %d)" idx (Array.length a.elems);
-  a.elems.(idx)
+  a.elems
 
-let set_elem heap oid idx v =
-  let a = get_array heap oid in
-  if idx < 0 || idx >= Array.length a.elems then
-    heap_error "array index %d out of bounds (length %d)" idx (Array.length a.elems);
-  a.elems.(idx) <- v
+let entry_field oid entry idx = (field_slot oid entry idx).(idx)
+let entry_set_field oid entry idx v = (field_slot oid entry idx).(idx) <- v
+let entry_elem oid entry idx = (elem_slot oid entry idx).(idx)
+let entry_set_elem oid entry idx v = (elem_slot oid entry idx).(idx) <- v
 
+let get_record heap oid = entry_record oid (get heap oid)
+let get_array heap oid = entry_array oid (get heap oid)
+let get_string heap oid = entry_string oid (get heap oid)
+let get_weak heap oid = entry_weak oid (get heap oid)
+let class_of heap oid = entry_class (get heap oid)
+let field heap oid idx = entry_field oid (get heap oid) idx
+let set_field heap oid idx v = entry_set_field oid (get heap oid) idx v
+let elem heap oid idx = entry_elem oid (get heap oid) idx
+let set_elem heap oid idx v = entry_set_elem oid (get heap oid) idx v
 let array_length heap oid = Array.length (get_array heap oid).elems
 
 let remove heap oid = Oid.Table.remove heap.table oid

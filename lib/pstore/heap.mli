@@ -63,6 +63,31 @@ val elem : t -> Oid.t -> int -> Pvalue.t
 val set_elem : t -> Oid.t -> int -> Pvalue.t -> unit
 val array_length : t -> Oid.t -> int
 
+(** {2 Entry-level accessors}
+
+    The decoding behind the oid-based accessors above, for
+    callers that resolved the entry themselves (a snapshot session's
+    view).  The [Oid.t] only labels the error.
+    @raise Heap_error on a kind mismatch or an index out of range, with
+    the same text as the oid-based function. *)
+
+val entry_record : Oid.t -> entry -> record
+val entry_array : Oid.t -> entry -> arr
+val entry_string : Oid.t -> entry -> string
+val entry_weak : Oid.t -> entry -> weak_cell
+
+val entry_class : entry -> string
+(** As {!class_of}. *)
+
+val entry_container : entry -> string
+(** The container name a bad field index is reported against: the class
+    name, [ty ^ "[]"], ["string"] or ["weak cell"]. *)
+
+val entry_field : Oid.t -> entry -> int -> Pvalue.t
+val entry_set_field : Oid.t -> entry -> int -> Pvalue.t -> unit
+val entry_elem : Oid.t -> entry -> int -> Pvalue.t
+val entry_set_elem : Oid.t -> entry -> int -> Pvalue.t -> unit
+
 val remove : t -> Oid.t -> unit
 val iter : (Oid.t -> entry -> unit) -> t -> unit
 val fold : (Oid.t -> entry -> 'a -> 'a) -> t -> 'a -> 'a

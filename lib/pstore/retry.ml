@@ -36,9 +36,8 @@ type policy = {
 let default_policy =
   { retries = 3; base_delay = 0.001; max_delay = 0.05; jitter = true; deadline = 1.0 }
 
-(* The I/O classes a store threads retry policies through.  One default
-   policy covers them all; per-class overrides tune hot or risky paths
-   (see [Store.Config.retry_overrides]). *)
+(* The I/O classes a store threads its retry policy through.  One policy
+   covers them all; the class labels the per-label retry counters. *)
 type io_class =
   | Stabilise
   | Image_load

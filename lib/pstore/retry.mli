@@ -27,9 +27,9 @@ val default_policy : policy
 
 (** {1 I/O classes}
 
-    The store threads retry through every I/O class below; a per-class
-    policy override (see [Store.Config.retry_overrides]) tunes one class
-    without touching the rest. *)
+    The store threads its one retry policy ([Store.Config.retry])
+    through every I/O class below; the class names label the retry
+    counters. *)
 
 type io_class =
   | Stabilise  (** the whole stabilise attempt (outermost wrapper) *)

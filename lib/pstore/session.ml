@@ -6,7 +6,6 @@
 include Store.Session
 
 let open_ = Store.open_session
-let default = Store.default_session
 
 let with_session store f =
   let s = Store.open_session store in

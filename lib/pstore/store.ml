@@ -69,9 +69,7 @@ type t = {
   mutable committed : int; (* highest seq durably recorded in the marker *)
   mutable side_epoch : int; (* bumped on events that invalidate side caches *)
   mutable retry : Retry.policy option; (* transient-I/O retry, opt-in *)
-  mutable retry_overrides : (Retry.io_class * Retry.policy) list;
   mutable breaker : int; (* consecutive exhausted failures before demotion; 0 = off *)
-  mutable salvage_degrade : int; (* salvaged entries per shard load that demote; 0 = off *)
   mutable unhealthy : int; (* shards currently not Healthy (hot-path gate) *)
   mutable io_retries : int;
   mutable backing : string option;
@@ -98,10 +96,9 @@ type t = {
 and mvcc = {
   mutable commit_seq : int; (* committed-write epoch, monotone *)
   mutable direct_dirty : bool;
-      (* default-session writes share one provisional epoch until sealed *)
+      (* top-level writes share one provisional epoch until sealed *)
   mutable open_sessions : session list; (* snapshot sessions, newest first *)
   mutable next_session_id : int;
-  mutable implicit : session option; (* the lazily-made default session *)
   versions : (int * Heap.entry option) list Oid.Table.t;
       (* per-oid pre-image chain, newest epoch first: [(e, v)] is the
          entry's state from just before the write at epoch [e]
@@ -113,14 +110,10 @@ and mvcc = {
   blob_stamps : (string, int) Hashtbl.t;
 }
 
-and session_kind =
-  | Direct (* the implicit default session: operations pass straight through *)
-  | Snapshot_session of int (* epoch pinned at [open_session] *)
-
 and session = {
   s_id : int;
   s_store : t;
-  s_kind : session_kind;
+  s_epoch : int; (* commit epoch pinned at [open_session] *)
   s_overlay : Heap.entry Oid.Table.t;
       (* read-your-writes: private copies of objects this session wrote *)
   s_root_over : (string, Pvalue.t option) Hashtbl.t; (* [None] = removed *)
@@ -137,16 +130,16 @@ type store = t
 let default_compaction_limit = 4096
 let max_shards = 64
 let default_breaker = 3
-let default_salvage_degrade = 8
+(* a sharded open that salvages at least this many entries from one
+   shard's image opens that shard degraded *)
+let salvage_degrade = 8
 
 module Config = struct
   type nonrec t = {
     compaction_limit : int;
     group_window : int;
     retry : Retry.policy option;
-    retry_overrides : (Retry.io_class * Retry.policy) list;
     breaker : int;
-    salvage_degrade : int;
     backing : string option;
     trace_ring : int;
     tracing : bool;
@@ -158,9 +151,7 @@ module Config = struct
       compaction_limit = default_compaction_limit;
       group_window = 1;
       retry = None;
-      retry_overrides = [];
       breaker = default_breaker;
-      salvage_degrade = default_salvage_degrade;
       backing = None;
       trace_ring = Obs.default_ring_capacity;
       tracing = false;
@@ -191,7 +182,6 @@ let fresh_mvcc () =
     direct_dirty = false;
     open_sessions = [];
     next_session_id = 1;
-    implicit = None;
     versions = Oid.Table.create 64;
     vstamps = Oid.Table.create 64;
     root_versions = Hashtbl.create 16;
@@ -216,9 +206,7 @@ let make ?(obs = Obs.create ()) ?(nshards = 1) () =
     committed = 0;
     side_epoch = 0;
     retry = None;
-    retry_overrides = [];
     breaker = default_breaker;
-    salvage_degrade = default_salvage_degrade;
     unhealthy = 0;
     io_retries = 0;
     backing = None;
@@ -330,14 +318,6 @@ let set_group_window store n =
   store.group_window <- n
 
 let retry_policy store = store.retry
-
-(* The policy that governs one I/O class: its override if one is
-   configured, else the store-wide default policy ([None] = fail fast,
-   the crash-injection tests' contract). *)
-let policy_for store cls =
-  match List.assoc_opt cls store.retry_overrides with
-  | Some p -> Some p
-  | None -> store.retry
 
 (* -- shard health (fault domains) -----------------------------------------
 
@@ -479,14 +459,15 @@ let first_unhealthy store =
     store.shards;
   !found
 
-(* Run one shard's I/O under its class policy.  Runs on pool domains:
+(* Run one shard's I/O under the store's retry policy ([None] = fail
+   fast, the crash-injection tests' contract).  Runs on pool domains:
    retries happen in place (after [undo] rolls partial effects back),
    exhaustion feeds the shard's consecutive-failure counter — the
    circuit breaker's input — and success resets it.  Only the counters
    are touched here; the breaker trip itself (a state transition)
    happens later on the calling domain, in [trip_breakers]. *)
 let shard_io store sh cls ?(undo = fun () -> ()) f =
-  match policy_for store cls with
+  match store.retry with
   | None -> begin
     match f () with
     | v ->
@@ -518,12 +499,8 @@ let configure store (c : Config.t) =
   set_compaction_limit store c.Config.compaction_limit;
   set_group_window store c.Config.group_window;
   store.retry <- c.Config.retry;
-  store.retry_overrides <- c.Config.retry_overrides;
   if c.Config.breaker < 0 then invalid_arg "Store.configure: negative breaker threshold";
   store.breaker <- c.Config.breaker;
-  if c.Config.salvage_degrade < 0 then
-    invalid_arg "Store.configure: negative salvage_degrade threshold";
-  store.salvage_degrade <- c.Config.salvage_degrade;
   (* [backing = None] leaves the current backing alone: store identity is
      not a tunable, and [open_file ?config] must not clear the path it
      just opened. *)
@@ -537,9 +514,7 @@ let config store : Config.t =
     Config.compaction_limit = store.compaction_limit;
     group_window = store.group_window;
     retry = store.retry;
-    retry_overrides = store.retry_overrides;
     breaker = store.breaker;
-    salvage_degrade = store.salvage_degrade;
     backing = store.backing;
     trace_ring = Obs.ring_capacity store.obs;
     tracing = Obs.enabled store.obs;
@@ -557,13 +532,13 @@ let create ?config () =
   store
 
 let mark_dirty store =
-  (* Direct heap surgery happens behind the MVCC hooks' back; a pinned
+  (* Raw heap surgery happens behind the MVCC hooks' back; a pinned
      snapshot could not survive it. *)
   if store.mvcc.open_sessions <> [] then
     invalid_arg "Store.mark_dirty: open snapshot sessions pin the object graph; commit or abort them first";
   store.needs_full <- true;
   bump_epoch store;
-  (* Direct heap surgery invalidates every recorded checksum; the
+  (* Raw heap surgery invalidates every recorded checksum; the
      scrubber re-primes them on its next pass. *)
   Array.iter (fun sh -> Oid.Table.reset sh.scrcs) store.shards
 
@@ -600,9 +575,9 @@ let pending_total store = Array.fold_left (fun acc sh -> acc + sh.spending_count
 let sessions_open store = store.mvcc.open_sessions <> []
 let open_session_count store = List.length store.mvcc.open_sessions
 
-(* Direct (default-session) writes made since the last seal share one
-   provisional epoch, [commit_seq + 1]; sealing closes it off before a
-   session pins a snapshot or a commit claims an epoch of its own. *)
+(* Top-level writes made since the last seal share one provisional epoch,
+   [commit_seq + 1]; sealing closes it off before a session pins a
+   snapshot or a commit claims an epoch of its own. *)
 let seal_epoch store =
   let m = store.mvcc in
   if m.direct_dirty then begin
@@ -896,22 +871,17 @@ let try_get store oid =
     | None -> Error (Failure.Dangling oid)
   end
 
-let try_field store oid idx =
-  match try_get store oid with
+(* A field read over an already-resolved entry, as salvage data: a bad
+   index (or a non-record) is [Bad_index] against the entry's container. *)
+let field_result oid idx = function
   | Error e -> Error e
-  | Ok entry -> begin
-    match Heap.field store.heap oid idx with
+  | Ok entry -> (
+    match Heap.entry_field oid entry idx with
     | v -> Ok v
     | exception Heap.Heap_error _ ->
-      let container =
-        match entry with
-        | Heap.Record r -> r.Heap.class_name
-        | Heap.Array a -> a.Heap.elem_type ^ "[]"
-        | Heap.Str _ -> "string"
-        | Heap.Weak _ -> "weak cell"
-      in
-      Error (Failure.Bad_index { container; index = idx })
-  end
+      Error (Failure.Bad_index { container = Heap.entry_container entry; index = idx }))
+
+let try_field store oid idx = field_result oid idx (try_get store oid)
 
 (* -- quarantine ----------------------------------------------------------- *)
 
@@ -1262,7 +1232,7 @@ let sharded_append ~force_sync store =
           Manifest.Marker.append marker seq';
           Manifest.Marker.sync marker
         in
-        (match policy_for store Retry.Marker with
+        (match store.retry with
         | None -> commit ()
         | Some policy ->
           Retry.run ~policy ~obs:store.obs ~label:(Retry.class_name Retry.Marker)
@@ -1347,7 +1317,7 @@ let compact_shards store path ~full ~selected =
         let commit () =
           Manifest.save path { Manifest.nshards = n; marker_epoch = marker_epoch'; epochs = epochs' }
         in
-        (match policy_for store Retry.Compaction with
+        (match store.retry with
         | None -> commit ()
         | Some policy ->
           Retry.run ~policy ~obs:store.obs ~label:(Retry.class_name Retry.Compaction)
@@ -1547,7 +1517,7 @@ let stabilise ?path store =
   Obs.span store.obs Obs.Stabilise (fun () ->
       let attempt () = stabilise_once store path in
       let run () =
-        match policy_for store Retry.Stabilise with
+        match store.retry with
         | None -> attempt ()
         | Some policy ->
           Retry.run ~policy ~obs:store.obs ~label:"stabilise"
@@ -1666,14 +1636,12 @@ let open_sharded ?config path =
   let store = make ~obs ~nshards:n () in
   store.backing <- Some path;
   (* The full configuration is applied last (it must win over recovered
-     state), but the load below already consults the retry policies and
-     health thresholds — install those up front. *)
+     state), but the load below already consults the retry policy and
+     the breaker threshold — install those up front. *)
   (match config with
   | Some (c : Config.t) ->
     store.retry <- c.Config.retry;
-    store.retry_overrides <- c.Config.retry_overrides;
-    store.breaker <- c.Config.breaker;
-    store.salvage_degrade <- c.Config.salvage_degrade
+    store.breaker <- c.Config.breaker
   | None -> ());
   let parts : Image.load_report option array = Array.make n None in
   let fails = Array.make n None in
@@ -1699,7 +1667,7 @@ let open_sharded ?config path =
       | Some reason, _ ->
         Health.offline store.shards.(k).shealth ("image load failed: " ^ reason)
       | None, Some r
-        when store.salvage_degrade > 0 && r.Image.lr_salvaged >= store.salvage_degrade ->
+        when r.Image.lr_salvaged >= salvage_degrade ->
         Health.degrade store.shards.(k).shealth
           (Printf.sprintf "salvage-heavy image load: %d entries quarantined" r.Image.lr_salvaged)
       | _ -> ())
@@ -2134,45 +2102,41 @@ let with_rollback store f =
       Error e
   end
 
-(* -- sessions: the handle-first surface ------------------------------------
-
-   [Session.t] is the unit of isolation.  Two kinds share the handle:
-
-   - the implicit DEFAULT session ([default_session]): its operations
-     are the top-level single-owner calls above, acting straight on the
-     shared state;
-
-   - SNAPSHOT sessions ([open_session]): each pins the committed-write
-     epoch at open, reads a byte-stable view of that instant (plus its
-     own writes), buffers every write privately, and publishes them all
-     at once at [Session.commit] — replayed through the store's normal
-     guarded mutation path and made durable through the group-commit
-     journal.  First committer wins: a commit whose write set overlaps
-     anything committed after its snapshot raises the typed
-     [Failure.Commit_conflict] and aborts, touching nothing. *)
-
 (* The commit barrier: on a backed store a committed delta must be
    durable before control returns — a journal append and fsync, or the
    first image write of a store that has none yet.  An unbacked store
    has nothing to be durable on. *)
 let commit_barrier store = if store.backing <> None then stabilise store
 
+(* The single-owner transaction: run [f] against the shared store with
+   whole-store rollback on exception, then pay the commit barrier on
+   success.  This is the commit/abort notion [Hyperprog.Transaction]
+   wraps; it sees and mutates live state, so concurrent snapshot
+   sessions are refused by [with_rollback]. *)
+let atomically store f =
+  match with_rollback store f with
+  | Ok v ->
+    commit_barrier store;
+    Ok v
+  | Error _ as e -> e
+
+(* -- sessions: the handle-first surface ------------------------------------
+
+   [Session.t] is the unit of isolation.  A session ([open_session]) pins
+   the committed-write epoch at open, reads a byte-stable view of that
+   instant (plus its own writes), buffers every write privately, and
+   publishes them all at once at [Session.commit] — replayed through the
+   store's normal guarded mutation path and made durable through the
+   group-commit journal.  First committer wins: a commit whose write set
+   overlaps anything committed after its snapshot raises the typed
+   [Failure.Commit_conflict] and aborts, touching nothing. *)
+
 module Session = struct
   type nonrec t = session
 
   let id s = s.s_id
   let store s = s.s_store
-
-  let is_snapshot s =
-    match s.s_kind with
-    | Direct -> false
-    | Snapshot_session _ -> true
-
-  let snapshot_epoch s =
-    match s.s_kind with
-    | Direct -> s.s_store.mvcc.commit_seq
-    | Snapshot_session e -> e
-
+  let snapshot_epoch s = s.s_epoch
   let state s = s.s_state
   let is_open s = s.s_state = `Live
   let buffered_ops s = s.s_nops
@@ -2190,206 +2154,97 @@ module Session = struct
   let dangling oid =
     raise (Heap.Heap_error (Format.asprintf "dangling reference %a" Oid.pp oid))
 
-  (* How a snapshot session sees one oid: its own overlay first
-     (read-your-writes), then the version chains, then the live heap. *)
-  let resolved s snap oid =
+  (* How a session sees one oid: its own overlay first (read-your-writes),
+     then the version chains, then the live heap. *)
+  let resolved s oid =
     match Oid.Table.find_opt s.s_overlay oid with
     | Some e -> Some e
-    | None -> snapshot_entry s.s_store snap oid
+    | None -> snapshot_entry s.s_store s.s_epoch oid
 
-  let resolved_root s snap name =
+  let resolved_root s name =
     match Hashtbl.find_opt s.s_root_over name with
     | Some v -> v
-    | None -> snapshot_root_value s.s_store snap name
+    | None -> snapshot_root_value s.s_store s.s_epoch name
 
-  let resolved_blob s snap key =
+  let resolved_blob s key =
     match Hashtbl.find_opt s.s_blob_over key with
     | Some v -> v
-    | None -> snapshot_blob_value s.s_store snap key
+    | None -> snapshot_blob_value s.s_store s.s_epoch key
 
   let get s oid =
-    match s.s_kind with
-    | Direct -> get s.s_store oid
-    | Snapshot_session snap -> (
-      check_live s "get";
-      Obs.incr s.s_store.obs Obs.Get;
-      check_q s.s_store oid;
-      match resolved s snap oid with
-      | Some e -> e
-      | None -> dangling oid)
+    check_live s "get";
+    Obs.incr s.s_store.obs Obs.Get;
+    check_q s.s_store oid;
+    match resolved s oid with
+    | Some e -> e
+    | None -> dangling oid
 
   let find s oid =
-    match s.s_kind with
-    | Direct -> find s.s_store oid
-    | Snapshot_session snap ->
-      check_live s "find";
-      Obs.incr s.s_store.obs Obs.Get;
-      if Quarantine.mem (shard_oid s.s_store oid).sq oid then None else resolved s snap oid
+    check_live s "find";
+    Obs.incr s.s_store.obs Obs.Get;
+    if Quarantine.mem (shard_oid s.s_store oid).sq oid then None else resolved s oid
 
   let is_live s oid =
-    match s.s_kind with
-    | Direct -> is_live s.s_store oid
-    | Snapshot_session snap -> resolved s snap oid <> None
+    check_live s "is_live";
+    resolved s oid <> None
 
-  let entry_record oid = function
-    | Heap.Record r -> r
-    | Heap.Array _ | Heap.Str _ | Heap.Weak _ ->
-      raise (Heap.Heap_error (Format.asprintf "%a is not a record" Oid.pp oid))
-
-  let entry_array oid = function
-    | Heap.Array a -> a
-    | Heap.Record _ | Heap.Str _ | Heap.Weak _ ->
-      raise (Heap.Heap_error (Format.asprintf "%a is not an array" Oid.pp oid))
-
-  let get_record s oid =
-    match s.s_kind with
-    | Direct -> get_record s.s_store oid
-    | Snapshot_session _ -> entry_record oid (get s oid)
-
-  let get_array s oid =
-    match s.s_kind with
-    | Direct -> get_array s.s_store oid
-    | Snapshot_session _ -> entry_array oid (get s oid)
-
-  let get_string s oid =
-    match s.s_kind with
-    | Direct -> get_string s.s_store oid
-    | Snapshot_session _ -> (
-      match get s oid with
-      | Heap.Str str -> str
-      | Heap.Record _ | Heap.Array _ | Heap.Weak _ ->
-        raise (Heap.Heap_error (Format.asprintf "%a is not a string" Oid.pp oid)))
-
-  let get_weak s oid =
-    match s.s_kind with
-    | Direct -> get_weak s.s_store oid
-    | Snapshot_session _ -> (
-      match get s oid with
-      | Heap.Weak c -> c
-      | Heap.Record _ | Heap.Array _ | Heap.Str _ ->
-        raise (Heap.Heap_error (Format.asprintf "%a is not a weak cell" Oid.pp oid)))
-
-  let class_of s oid =
-    match s.s_kind with
-    | Direct -> class_of s.s_store oid
-    | Snapshot_session _ -> (
-      match get s oid with
-      | Heap.Record r -> r.Heap.class_name
-      | Heap.Array a -> a.Heap.elem_type ^ "[]"
-      | Heap.Str _ -> "java.lang.String"
-      | Heap.Weak _ -> "pstore.WeakReference")
-
-  let field s oid idx =
-    match s.s_kind with
-    | Direct -> field s.s_store oid idx
-    | Snapshot_session _ ->
-      let r = entry_record oid (get s oid) in
-      if idx < 0 || idx >= Array.length r.Heap.fields then
-        raise
-          (Heap.Heap_error
-             (Format.asprintf "field index %d out of range for %a (%s)" idx Oid.pp oid
-                r.Heap.class_name));
-      r.Heap.fields.(idx)
-
-  let elem s oid idx =
-    match s.s_kind with
-    | Direct -> elem s.s_store oid idx
-    | Snapshot_session _ ->
-      let a = entry_array oid (get s oid) in
-      if idx < 0 || idx >= Array.length a.Heap.elems then
-        raise
-          (Heap.Heap_error
-             (Format.asprintf "array index %d out of bounds (length %d)" idx
-                (Array.length a.Heap.elems)));
-      a.Heap.elems.(idx)
-
-  let array_length s oid =
-    match s.s_kind with
-    | Direct -> array_length s.s_store oid
-    | Snapshot_session _ -> Array.length (entry_array oid (get s oid)).Heap.elems
+  let get_record s oid = Heap.entry_record oid (get s oid)
+  let get_array s oid = Heap.entry_array oid (get s oid)
+  let get_string s oid = Heap.entry_string oid (get s oid)
+  let get_weak s oid = Heap.entry_weak oid (get s oid)
+  let class_of s oid = Heap.entry_class (get s oid)
+  let field s oid idx = Heap.entry_field oid (get s oid) idx
+  let elem s oid idx = Heap.entry_elem oid (get s oid) idx
+  let array_length s oid = Array.length (get_array s oid).Heap.elems
 
   let string_value s v =
-    match s.s_kind with
-    | Direct -> string_value s.s_store v
-    | Snapshot_session _ -> (
-      match v with
-      | Pvalue.Ref oid -> get_string s oid
-      | v ->
-        raise (Heap.Heap_error ("expected a string reference, got " ^ Pvalue.to_string v)))
+    check_live s "string_value";
+    match v with
+    | Pvalue.Ref oid -> get_string s oid
+    | v -> raise (Heap.Heap_error ("expected a string reference, got " ^ Pvalue.to_string v))
 
   let try_get s oid =
-    match s.s_kind with
-    | Direct -> try_get s.s_store oid
-    | Snapshot_session snap -> (
-      check_live s "try_get";
-      note_read s.s_store oid;
-      Obs.incr s.s_store.obs Obs.Get;
-      match Quarantine.find (shard_oid s.s_store oid).sq oid with
-      | Some reason ->
-        Obs.incr s.s_store.obs Obs.Quarantine_hit;
-        Error (Failure.Quarantined { oid; reason })
-      | None -> (
-        match resolved s snap oid with
-        | Some entry -> Ok entry
-        | None -> Error (Failure.Dangling oid)))
+    check_live s "try_get";
+    note_read s.s_store oid;
+    Obs.incr s.s_store.obs Obs.Get;
+    match Quarantine.find (shard_oid s.s_store oid).sq oid with
+    | Some reason ->
+      Obs.incr s.s_store.obs Obs.Quarantine_hit;
+      Error (Failure.Quarantined { oid; reason })
+    | None -> (
+      match resolved s oid with
+      | Some entry -> Ok entry
+      | None -> Error (Failure.Dangling oid))
 
-  let try_field s oid idx =
-    match s.s_kind with
-    | Direct -> try_field s.s_store oid idx
-    | Snapshot_session _ -> (
-      match try_get s oid with
-      | Error e -> Error e
-      | Ok (Heap.Record r) when idx >= 0 && idx < Array.length r.Heap.fields ->
-        Ok r.Heap.fields.(idx)
-      | Ok entry ->
-        let container =
-          match entry with
-          | Heap.Record r -> r.Heap.class_name
-          | Heap.Array a -> a.Heap.elem_type ^ "[]"
-          | Heap.Str _ -> "string"
-          | Heap.Weak _ -> "weak cell"
-        in
-        Error (Failure.Bad_index { container; index = idx }))
+  let try_field s oid idx = field_result oid idx (try_get s oid)
 
   let root s name =
-    match s.s_kind with
-    | Direct -> root s.s_store name
-    | Snapshot_session snap ->
-      check_live s "root";
-      Obs.incr s.s_store.obs Obs.Root_lookup;
-      resolved_root s snap name
+    check_live s "root";
+    Obs.incr s.s_store.obs Obs.Root_lookup;
+    resolved_root s name
 
   let root_names s =
-    match s.s_kind with
-    | Direct -> root_names s.s_store
-    | Snapshot_session snap ->
-      check_live s "root_names";
-      let tbl = Hashtbl.create 32 in
-      List.iter (fun n -> Hashtbl.replace tbl n ()) (Roots.names s.s_store.roots);
-      Hashtbl.iter (fun n _ -> Hashtbl.replace tbl n ()) s.s_store.mvcc.root_versions;
-      Hashtbl.iter (fun n _ -> Hashtbl.replace tbl n ()) s.s_root_over;
-      Hashtbl.fold (fun n () acc -> if resolved_root s snap n <> None then n :: acc else acc) tbl []
-      |> List.sort String.compare
+    check_live s "root_names";
+    let tbl = Hashtbl.create 32 in
+    List.iter (fun n -> Hashtbl.replace tbl n ()) (Roots.names s.s_store.roots);
+    Hashtbl.iter (fun n _ -> Hashtbl.replace tbl n ()) s.s_store.mvcc.root_versions;
+    Hashtbl.iter (fun n _ -> Hashtbl.replace tbl n ()) s.s_root_over;
+    Hashtbl.fold (fun n () acc -> if resolved_root s n <> None then n :: acc else acc) tbl []
+    |> List.sort String.compare
 
   let blob s key =
-    match s.s_kind with
-    | Direct -> blob s.s_store key
-    | Snapshot_session snap ->
-      check_live s "blob";
-      Obs.incr s.s_store.obs Obs.Get;
-      resolved_blob s snap key
+    check_live s "blob";
+    Obs.incr s.s_store.obs Obs.Get;
+    resolved_blob s key
 
   let blob_keys s =
-    match s.s_kind with
-    | Direct -> blob_keys s.s_store
-    | Snapshot_session snap ->
-      check_live s "blob_keys";
-      let tbl = Hashtbl.create 32 in
-      Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) s.s_store.blobs;
-      Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) s.s_store.mvcc.blob_versions;
-      Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) s.s_blob_over;
-      Hashtbl.fold (fun k () acc -> if resolved_blob s snap k <> None then k :: acc else acc) tbl []
-      |> List.sort String.compare
+    check_live s "blob_keys";
+    let tbl = Hashtbl.create 32 in
+    Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) s.s_store.blobs;
+    Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) s.s_store.mvcc.blob_versions;
+    Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) s.s_blob_over;
+    Hashtbl.fold (fun k () acc -> if resolved_blob s k <> None then k :: acc else acc) tbl []
+    |> List.sort String.compare
 
   (* -- buffered writes ---------------------------------------------------- *)
 
@@ -2397,19 +2252,14 @@ module Session = struct
     s.s_ops <- op :: s.s_ops;
     s.s_nops <- s.s_nops + 1
 
-  (* A snapshot write mutates a private copy of the object: the session's
+  (* A session write mutates a private copy of the object: the session's
      own allocation, or a copy-on-write of the visible entry (which also
      enrols the oid in the write set for conflict detection). *)
   let overlay_entry s oid =
     match Oid.Table.find_opt s.s_overlay oid with
     | Some e -> e
     | None -> (
-      let snap =
-        match s.s_kind with
-        | Snapshot_session e -> e
-        | Direct -> assert false
-      in
-      match snapshot_entry s.s_store snap oid with
+      match snapshot_entry s.s_store s.s_epoch oid with
       | Some e ->
         let copy = Journal.copy_entry e in
         Oid.Table.replace s.s_overlay oid copy;
@@ -2418,40 +2268,22 @@ module Session = struct
       | None -> dangling oid)
 
   let set_field s oid idx v =
-    match s.s_kind with
-    | Direct -> set_field s.s_store oid idx v
-    | Snapshot_session _ ->
-      check_live s "set_field";
-      Obs.incr s.s_store.obs Obs.Set;
-      check_q s.s_store oid;
-      let r = entry_record oid (overlay_entry s oid) in
-      if idx < 0 || idx >= Array.length r.Heap.fields then
-        raise
-          (Heap.Heap_error
-             (Format.asprintf "field index %d out of range for %a (%s)" idx Oid.pp oid
-                r.Heap.class_name));
-      r.Heap.fields.(idx) <- v;
-      push_op s (Journal.Set_field (oid, idx, v))
+    check_live s "set_field";
+    Obs.incr s.s_store.obs Obs.Set;
+    check_q s.s_store oid;
+    Heap.entry_set_field oid (overlay_entry s oid) idx v;
+    push_op s (Journal.Set_field (oid, idx, v))
 
   let set_elem s oid idx v =
-    match s.s_kind with
-    | Direct -> set_elem s.s_store oid idx v
-    | Snapshot_session _ ->
-      check_live s "set_elem";
-      Obs.incr s.s_store.obs Obs.Set;
-      check_q s.s_store oid;
-      let a = entry_array oid (overlay_entry s oid) in
-      if idx < 0 || idx >= Array.length a.Heap.elems then
-        raise
-          (Heap.Heap_error
-             (Format.asprintf "array index %d out of bounds (length %d)" idx
-                (Array.length a.Heap.elems)));
-      a.Heap.elems.(idx) <- v;
-      push_op s (Journal.Set_elem (oid, idx, v))
+    check_live s "set_elem";
+    Obs.incr s.s_store.obs Obs.Set;
+    check_q s.s_store oid;
+    Heap.entry_set_elem oid (overlay_entry s oid) idx v;
+    push_op s (Journal.Set_elem (oid, idx, v))
 
   (* Session allocations reserve their oid from the shared allocator (so
-     concurrent sessions and direct allocs never collide) but the entry
-     lives only in the overlay until commit.  An aborted session's
+     concurrent sessions and top-level allocs never collide) but the
+     entry lives only in the overlay until commit.  An aborted session's
      reserved oids are simply never used — the allocator is monotone. *)
   let reserve_oid store =
     let n = Heap.next_oid store.heap in
@@ -2468,60 +2300,37 @@ module Session = struct
         oid)
 
   let alloc_record s class_name fields =
-    match s.s_kind with
-    | Direct -> alloc_record s.s_store class_name fields
-    | Snapshot_session _ -> session_alloc s class_name (Heap.Record { Heap.class_name; fields })
+    session_alloc s class_name (Heap.Record { Heap.class_name; fields })
 
   let alloc_array s elem_type elems =
-    match s.s_kind with
-    | Direct -> alloc_array s.s_store elem_type elems
-    | Snapshot_session _ -> session_alloc s elem_type (Heap.Array { Heap.elem_type; elems })
+    session_alloc s elem_type (Heap.Array { Heap.elem_type; elems })
 
-  let alloc_string s str =
-    match s.s_kind with
-    | Direct -> alloc_string s.s_store str
-    | Snapshot_session _ -> session_alloc s "string" (Heap.Str str)
-
-  let alloc_weak s target =
-    match s.s_kind with
-    | Direct -> alloc_weak s.s_store target
-    | Snapshot_session _ -> session_alloc s "weak" (Heap.Weak { Heap.target })
+  let alloc_string s str = session_alloc s "string" (Heap.Str str)
+  let alloc_weak s target = session_alloc s "weak" (Heap.Weak { Heap.target })
 
   let set_root s name v =
-    match s.s_kind with
-    | Direct -> set_root s.s_store name v
-    | Snapshot_session _ ->
-      check_live s "set_root";
-      Obs.incr s.s_store.obs Obs.Set;
-      Hashtbl.replace s.s_root_over name (Some v);
-      push_op s (Journal.Set_root (name, v))
+    check_live s "set_root";
+    Obs.incr s.s_store.obs Obs.Set;
+    Hashtbl.replace s.s_root_over name (Some v);
+    push_op s (Journal.Set_root (name, v))
 
   let remove_root s name =
-    match s.s_kind with
-    | Direct -> remove_root s.s_store name
-    | Snapshot_session _ ->
-      check_live s "remove_root";
-      Obs.incr s.s_store.obs Obs.Set;
-      Hashtbl.replace s.s_root_over name None;
-      push_op s (Journal.Remove_root name)
+    check_live s "remove_root";
+    Obs.incr s.s_store.obs Obs.Set;
+    Hashtbl.replace s.s_root_over name None;
+    push_op s (Journal.Remove_root name)
 
   let set_blob s key data =
-    match s.s_kind with
-    | Direct -> set_blob s.s_store key data
-    | Snapshot_session _ ->
-      check_live s "set_blob";
-      Obs.incr s.s_store.obs Obs.Set;
-      Hashtbl.replace s.s_blob_over key (Some data);
-      push_op s (Journal.Set_blob (key, data))
+    check_live s "set_blob";
+    Obs.incr s.s_store.obs Obs.Set;
+    Hashtbl.replace s.s_blob_over key (Some data);
+    push_op s (Journal.Set_blob (key, data))
 
   let remove_blob s key =
-    match s.s_kind with
-    | Direct -> remove_blob s.s_store key
-    | Snapshot_session _ ->
-      check_live s "remove_blob";
-      Obs.incr s.s_store.obs Obs.Set;
-      Hashtbl.replace s.s_blob_over key None;
-      push_op s (Journal.Remove_blob key)
+    check_live s "remove_blob";
+    Obs.incr s.s_store.obs Obs.Set;
+    Hashtbl.replace s.s_blob_over key None;
+    push_op s (Journal.Remove_blob key)
 
   let write_set s =
     let keys =
@@ -2555,16 +2364,14 @@ module Session = struct
     s.s_nops <- 0
 
   let abort s =
-    match s.s_kind with
-    | Direct -> invalid_arg "Store.Session.abort: the default session has no buffered writes"
-    | Snapshot_session _ ->
-      check_live s "abort";
-      (* no journal residue by construction: nothing ever left the buffer *)
-      drop_buffer s;
-      unpin s `Aborted
+    check_live s "abort";
+    (* no journal residue by construction: nothing ever left the buffer *)
+    drop_buffer s;
+    unpin s `Aborted
 
-  let conflicts s snap =
+  let conflicts s =
     let m = s.s_store.mvcc in
+    let snap = s.s_epoch in
     let oids =
       Oid.Set.fold
         (fun oid acc ->
@@ -2653,156 +2460,119 @@ module Session = struct
     if journalling store then record store op
 
   let commit s =
-    match s.s_kind with
-    | Direct -> commit_barrier s.s_store
-    | Snapshot_session snap ->
-      check_live s "commit";
-      let store = s.s_store in
-      seal_epoch store;
-      let oids, keys = conflicts s snap in
-      if oids <> [] || keys <> [] then begin
-        Obs.incr store.obs Obs.Conflict;
-        let session = s.s_id in
-        (* the first committer won: abort, then hand the caller the clash
-           set so it can retry against the new state *)
+    check_live s "commit";
+    let store = s.s_store in
+    seal_epoch store;
+    let oids, keys = conflicts s in
+    if oids <> [] || keys <> [] then begin
+      Obs.incr store.obs Obs.Conflict;
+      let session = s.s_id in
+      (* the first committer won: abort, then hand the caller the clash
+         set so it can retry against the new state *)
+      drop_buffer s;
+      unpin s `Aborted;
+      raise (Failure.Commit_conflict { session; oids; keys })
+    end;
+    validate_ops s;
+    let ops = List.rev s.s_ops in
+    Obs.span store.obs Obs.Session_commit
+      ~label:(Printf.sprintf "session %d" s.s_id)
+      (fun () ->
+        (if ops <> [] then begin
+           let epoch = store.mvcc.commit_seq + 1 in
+           List.iter (apply_op store epoch) ops;
+           store.mvcc.commit_seq <- epoch;
+           (* committed writes invalidate side caches: the registry's
+              getLink memo revalidates against this epoch *)
+           bump_epoch store
+         end);
         drop_buffer s;
-        unpin s `Aborted;
-        raise (Failure.Commit_conflict { session; oids; keys })
-      end;
-      validate_ops s;
-      let ops = List.rev s.s_ops in
-      Obs.span store.obs Obs.Session_commit
-        ~label:(Printf.sprintf "session %d" s.s_id)
-        (fun () ->
-          (if ops <> [] then begin
-             let epoch = store.mvcc.commit_seq + 1 in
-             List.iter (apply_op store epoch) ops;
-             store.mvcc.commit_seq <- epoch;
-             (* committed writes invalidate side caches: the registry's
-                getLink memo revalidates against this epoch *)
-             bump_epoch store
-           end);
-          drop_buffer s;
-          unpin s `Committed;
-          if ops <> [] then commit_barrier store)
+        unpin s `Committed;
+        if ops <> [] then commit_barrier store)
 
   (* -- snapshot introspection --------------------------------------------- *)
 
   let live_count s =
-    match s.s_kind with
-    | Direct -> Heap.size s.s_store.heap
-    | Snapshot_session snap ->
-      (* no entry is ever removed while sessions are open (GC is gated),
-         so the visible set is a subset of the live heap *)
-      let n = ref 0 in
-      Heap.iter
-        (fun oid _ -> if snapshot_entry s.s_store snap oid <> None then incr n)
-        s.s_store.heap;
-      !n
+    (* no entry is ever removed while sessions are open (GC is gated),
+       so the visible set is a subset of the live heap *)
+    let n = ref 0 in
+    Heap.iter
+      (fun oid _ -> if snapshot_entry s.s_store s.s_epoch oid <> None then incr n)
+      s.s_store.heap;
+    !n
 
-  let stats s =
-    match s.s_kind with
-    | Direct -> stats s.s_store
-    | Snapshot_session _ -> { (stats s.s_store) with live = live_count s }
+  let stats s = { (stats s.s_store) with live = live_count s }
 
   (* The session's full visible state as store contents — the same shape
      [Store.contents] has, so [Image.encode] fingerprints a snapshot
      byte-stably however much the shared store moves on. *)
   let snapshot_contents s =
-    match s.s_kind with
-    | Direct -> contents s.s_store
-    | Snapshot_session snap ->
-      check_live s "snapshot_contents";
-      let store = s.s_store in
-      let heap' = Heap.create () in
-      let top = ref 0 in
-      Heap.iter
-        (fun oid _ ->
-          match snapshot_entry store snap oid with
-          | Some e ->
-            Heap.insert heap' oid (Journal.copy_entry e);
-            if Oid.to_int oid >= !top then top := Oid.to_int oid + 1
-          | None -> ())
-        store.heap;
-      if !top > Heap.next_oid heap' then Heap.set_next_oid heap' !top;
-      let roots' = Roots.create () in
-      List.iter
-        (fun n ->
-          match snapshot_root_value store snap n with
-          | Some v -> Roots.set roots' n v
-          | None -> ())
-        (let tbl = Hashtbl.create 32 in
-         List.iter (fun n -> Hashtbl.replace tbl n ()) (Roots.names store.roots);
-         Hashtbl.iter (fun n _ -> Hashtbl.replace tbl n ()) store.mvcc.root_versions;
-         Hashtbl.fold (fun n () acc -> n :: acc) tbl []);
-      let blobs' = Hashtbl.create 16 in
-      let blob_keys =
-        let tbl = Hashtbl.create 32 in
-        Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) store.blobs;
-        Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) store.mvcc.blob_versions;
-        Hashtbl.fold (fun k () acc -> k :: acc) tbl []
-      in
-      List.iter
-        (fun k ->
-          match snapshot_blob_value store snap k with
-          | Some data -> Hashtbl.replace blobs' k data
-          | None -> ())
-        blob_keys;
-      let quarantine = Quarantine.create () in
-      Array.iter
-        (fun sh ->
-          List.iter (fun (oid, r) -> Quarantine.add quarantine oid r) (Quarantine.to_list sh.sq))
-        store.shards;
-      { Image.heap = heap'; roots = roots'; blobs = blobs'; quarantine }
-
-  (* -- the single-owner transaction --------------------------------------- *)
-
-  (* Run [f] against the shared store with whole-store rollback on
-     exception, then pay the commit barrier on success.  This is the
-     commit/abort notion [Hyperprog.Transaction] wraps: an atomic block
-     over the default session, not a snapshot session (it sees and
-     mutates live state, and concurrent snapshot sessions are refused by
-     [with_rollback]). *)
-  let atomically store f =
-    match with_rollback store f with
-    | Ok v ->
-      commit_barrier store;
-      Ok v
-    | Error _ as e -> e
+    check_live s "snapshot_contents";
+    let store = s.s_store in
+    let snap = s.s_epoch in
+    let heap' = Heap.create () in
+    let top = ref 0 in
+    Heap.iter
+      (fun oid _ ->
+        match snapshot_entry store snap oid with
+        | Some e ->
+          Heap.insert heap' oid (Journal.copy_entry e);
+          if Oid.to_int oid >= !top then top := Oid.to_int oid + 1
+        | None -> ())
+      store.heap;
+    if !top > Heap.next_oid heap' then Heap.set_next_oid heap' !top;
+    let roots' = Roots.create () in
+    List.iter
+      (fun n ->
+        match snapshot_root_value store snap n with
+        | Some v -> Roots.set roots' n v
+        | None -> ())
+      (let tbl = Hashtbl.create 32 in
+       List.iter (fun n -> Hashtbl.replace tbl n ()) (Roots.names store.roots);
+       Hashtbl.iter (fun n _ -> Hashtbl.replace tbl n ()) store.mvcc.root_versions;
+       Hashtbl.fold (fun n () acc -> n :: acc) tbl []);
+    let blobs' = Hashtbl.create 16 in
+    let blob_keys =
+      let tbl = Hashtbl.create 32 in
+      Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) store.blobs;
+      Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) store.mvcc.blob_versions;
+      Hashtbl.fold (fun k () acc -> k :: acc) tbl []
+    in
+    List.iter
+      (fun k ->
+        match snapshot_blob_value store snap k with
+        | Some data -> Hashtbl.replace blobs' k data
+        | None -> ())
+      blob_keys;
+    let quarantine = Quarantine.create () in
+    Array.iter
+      (fun sh ->
+        List.iter (fun (oid, r) -> Quarantine.add quarantine oid r) (Quarantine.to_list sh.sq))
+      store.shards;
+    { Image.heap = heap'; roots = roots'; blobs = blobs'; quarantine }
 end
 
-let fresh_session store ~id kind =
-  {
-    s_id = id;
-    s_store = store;
-    s_kind = kind;
-    s_overlay = Oid.Table.create 16;
-    s_root_over = Hashtbl.create 8;
-    s_blob_over = Hashtbl.create 8;
-    s_ops = [];
-    s_nops = 0;
-    s_written = Oid.Set.empty;
-    s_allocated = Oid.Set.empty;
-    s_state = `Live;
-  }
-
-(* Pin a snapshot of the committed state as of now.  Any unsealed direct
-   writes are sealed first, so the new session's epoch cleanly separates
-   "before open" from "after open". *)
+(* Pin a snapshot of the committed state as of now.  Any unsealed
+   top-level writes are sealed first, so the new session's epoch cleanly
+   separates "before open" from "after open". *)
 let open_session store =
   let m = store.mvcc in
   seal_epoch store;
-  let s = fresh_session store ~id:m.next_session_id (Snapshot_session m.commit_seq) in
+  let s =
+    {
+      s_id = m.next_session_id;
+      s_store = store;
+      s_epoch = m.commit_seq;
+      s_overlay = Oid.Table.create 16;
+      s_root_over = Hashtbl.create 8;
+      s_blob_over = Hashtbl.create 8;
+      s_ops = [];
+      s_nops = 0;
+      s_written = Oid.Set.empty;
+      s_allocated = Oid.Set.empty;
+      s_state = `Live;
+    }
+  in
   m.next_session_id <- m.next_session_id + 1;
   m.open_sessions <- s :: m.open_sessions;
   s
-
-(* The implicit default session (id 0): a [Direct] handle whose every
-   operation is the top-level store call of the same name. *)
-let default_session store =
-  match store.mvcc.implicit with
-  | Some s -> s
-  | None ->
-    let s = fresh_session store ~id:0 Direct in
-    store.mvcc.implicit <- Some s;
-    s

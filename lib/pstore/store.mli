@@ -4,15 +4,14 @@
     with stabilisation to a backing file.  Programs (hyper-programs, class
     files) live in the same store as the data they manipulate.
 
-    {b The handle-first surface.}  Every read and mutation goes through a
-    {!Session.t} handle.  {!open_session} pins a snapshot-isolated MVCC
-    session: byte-stable reads as of open, privately buffered writes,
+    {b Two ways in.}  Code that owns a store alone calls the single-owner
+    operations below ([get], [set_field], [set_root], ...), which read
+    and write the shared state directly; {!atomically} brackets a batch
+    of them with whole-store rollback.  Clients that overlap each take a
+    {!Session.t} from {!open_session}: a snapshot-isolated MVCC session
+    with byte-stable reads as of open and privately buffered writes,
     published atomically by {!Session.commit} with first-committer-wins
-    conflict detection ({!Failure.Commit_conflict}).  Code that owns a
-    store alone can keep calling the single-owner operations below
-    ([get], [set_field], [set_root], ...); each is a thin wrapper over
-    the store's implicit {e default session}, which reads and writes the
-    shared state directly, exactly as the store always behaved. *)
+    conflict detection ({!Failure.Commit_conflict}). *)
 
 type t
 
@@ -52,17 +51,10 @@ module Config : sig
         (** transient-I/O retry, threaded through every I/O class
             (stabilise, image load/save, journal append, commit marker,
             compaction); [None] = fail fast *)
-    retry_overrides : (Retry.io_class * Retry.policy) list;
-        (** per-class policy overrides; a class not listed here uses
-            [retry] *)
     breaker : int;
         (** circuit breaker: consecutive exhausted transient failures on
             one shard before it is demoted to degraded ([0] = never).
             Sharded stores only *)
-    salvage_degrade : int;
-        (** a sharded open that had to salvage at least this many
-            entries from one shard's image opens that shard degraded
-            ([0] = never) *)
     backing : string option;
         (** [Some p] points the store at a backing file; [None] leaves
             the current backing untouched (identity is not a tunable) *)
@@ -81,9 +73,8 @@ module Config : sig
   }
 
   val default : t
-  (** Default compaction limit, group window 1, no retry (and no
-      per-class overrides), breaker threshold 3, salvage-degrade
-      threshold 8, backing untouched, {!Obs.default_ring_capacity} ring,
+  (** Default compaction limit, group window 1, no retry, breaker
+      threshold 3, backing untouched, {!Obs.default_ring_capacity} ring,
       tracing off. *)
 end
 
@@ -103,8 +94,8 @@ val open_file : ?config:Config.t -> string -> t
     On a sharded store, shard faults are contained: an unreadable shard
     image takes only that shard {e offline} (see {!health}; its slice of
     the store stays empty until {!repair}), and a salvage-heavy shard
-    load opens that shard {e degraded} — the other shards load and serve
-    normally.
+    load (8 or more entries salvaged from its image) opens that shard
+    {e degraded} — the other shards load and serve normally.
     @raise Image.Image_error on a corrupt single-shard image with
     nothing to recover. *)
 
@@ -322,10 +313,10 @@ val scrub_progress : t -> Scrub.state
     failures, threaded through every I/O class: the whole stabilise,
     per-shard image loads and saves, journal appends (made idempotent by
     truncating to a savepoint between attempts), the commit marker and
-    compaction commits.  Per-class policies come from
-    [Config.retry_overrides]; exhausted budgets feed the per-shard
-    circuit breaker.  Off by default so crash-injection tests observe
-    raw failures.  Configured via [Config.retry] / [Config.retry_overrides]. *)
+    compaction commits.  One policy covers every class; exhausted
+    budgets feed the per-shard circuit breaker.  Off by default so
+    crash-injection tests observe raw failures.  Configured via
+    [Config.retry]. *)
 
 val retry_policy : t -> Retry.policy option
 
@@ -427,11 +418,18 @@ val with_rollback : t -> (unit -> 'a) -> ('a, exn) result
     @raise Invalid_argument while snapshot sessions are open — a
     whole-store rollback would rewrite state under their snapshots. *)
 
+val atomically : t -> (unit -> 'a) -> ('a, exn) result
+(** The single-owner transaction: run the thunk against the shared store
+    under {!with_rollback}, then pay the commit barrier on success
+    (stabilise a backed store).  This is what
+    {!Hyperprog.Transaction.transact} wraps.
+    @raise Invalid_argument (from [with_rollback]) while snapshot
+    sessions are open. *)
+
 (** {1 Sessions}
 
-    The handle-based concurrency surface.  A snapshot session
-    ({!open_session}) gives one logical client an isolated view of the
-    store:
+    The handle-based concurrency surface.  A session ({!open_session})
+    gives one logical client an isolated view of the store:
 
     - {b snapshot reads} — everything the session reads is the committed
       state as of open, byte-stable however much the shared store moves
@@ -451,11 +449,6 @@ val with_rollback : t -> (unit -> 'a) -> ('a, exn) result
       clashing oids and keys, and the session aborts having touched
       nothing.
 
-    The {e default session} ({!default_session}) is the other kind: the
-    implicit handle the legacy single-owner operations route through.
-    Its reads and writes hit the shared state directly — no snapshot, no
-    buffer — and its [commit] is just the durability barrier.
-
     GC, [with_rollback] and [mark_dirty] refuse to run while snapshot
     sessions are open (they would invalidate pinned views); commit or
     abort every session first. *)
@@ -467,23 +460,18 @@ module Session : sig
       clients overlap. *)
 
   val id : t -> int
-  (** Session ids are per-store, starting at 1; the default session is
-      id 0. *)
+  (** Session ids are per-store, starting at 1. *)
 
   val store : t -> store
-  val is_snapshot : t -> bool
-  (** [false] exactly for the default session. *)
 
   val snapshot_epoch : t -> int
-  (** The commit epoch this session reads as of (the current epoch for
-      the default session). *)
+  (** The commit epoch this session reads as of, pinned at open. *)
 
   val state : t -> [ `Live | `Committed | `Aborted ]
   val is_open : t -> bool
 
   val buffered_ops : t -> int
-  (** Writes buffered and not yet committed (always [0] for the default
-      session, which never buffers). *)
+  (** Writes buffered and not yet committed. *)
 
   (** {2 Reads}
 
@@ -514,12 +502,12 @@ module Session : sig
 
   (** {2 Writes}
 
-      On a snapshot session every write lands in a private buffer
-      (copy-on-write overlay for heap objects) and is invisible to every
-      other session until {!commit}.  Allocations reserve their oid from
-      the shared allocator immediately — so sessions never collide on
-      oids — but the entry stays private until commit; an aborted
-      session's reserved oids are simply never used. *)
+      Every session write lands in a private buffer (copy-on-write
+      overlay for heap objects) and is invisible to every other session
+      until {!commit}.  Allocations reserve their oid from the shared
+      allocator immediately — so sessions never collide on oids — but
+      the entry stays private until commit; an aborted session's
+      reserved oids are simply never used. *)
 
   val set_field : t -> Oid.t -> int -> Pvalue.t -> unit
   val set_elem : t -> Oid.t -> int -> Pvalue.t -> unit
@@ -541,8 +529,8 @@ module Session : sig
 
   val commit : t -> unit
   (** Publish the session's buffered writes atomically and close the
-      session.  On the default session this is just the durability
-      barrier (stabilise a backed store).
+      session.  On a backed store a commit that published anything
+      stabilises before it returns, so the writes are durable.
       @raise Failure.Commit_conflict if first-committer-wins detection
       refuses the commit; the session is aborted first, having changed
       nothing.
@@ -555,8 +543,7 @@ module Session : sig
   val abort : t -> unit
   (** Discard every buffered write and close the session.  No journal
       residue by construction: nothing ever left the buffer.
-      @raise Invalid_argument on the default session or an
-      already-closed one. *)
+      @raise Invalid_argument on an already-closed session. *)
 
   (** {2 Introspection} *)
 
@@ -573,21 +560,10 @@ module Session : sig
       unshared image contents; [Image.encode] of it is a byte-stable
       fingerprint of the snapshot however much the shared store has
       moved on. *)
-
-  val atomically : store -> (unit -> 'a) -> ('a, exn) result
-  (** The single-owner transaction: run the thunk against the shared
-      store under {!with_rollback}, then pay the commit barrier on
-      success.  This is what {!Hyperprog.Transaction.transact} wraps.
-      Refused (by [with_rollback]) while snapshot sessions are open. *)
 end
 
 val open_session : t -> Session.t
 (** Pin a snapshot session on the committed state as of now. *)
 
-val default_session : t -> Session.t
-(** The store's implicit direct-mode session (id 0, one per store) —
-    the handle the single-owner operations route through. *)
-
 val open_session_count : t -> int
-(** The snapshot sessions currently open (the default session is not
-    counted). *)
+(** The sessions currently open (neither committed nor aborted). *)

@@ -272,21 +272,59 @@ let closed_sessions_refuse_use () =
   | () -> Alcotest.fail "an aborted session must refuse writes"
   | exception Invalid_argument _ -> ()
 
-let default_session_is_direct () =
+(* Every function in store.mli's "Reads" group refuses a closed session,
+   whichever way it was closed — none may quietly answer from the live
+   heap.  Each read is first shown to answer on a live session, so the
+   refusal is the closed state's doing, not a bad argument's. *)
+let closed_sessions_refuse_every_read () =
   let store = Store.create () in
-  let d = Store.default_session store in
-  check_int "default session is id 0" 0 (Store.Session.id d);
-  check_bool "default session is not a snapshot" false (Store.Session.is_snapshot d);
-  Store.Session.set_root d "x" (ival 1);
-  check_int "default-session writes are immediate" 1
-    (int_of (Option.get (Store.root store "x")));
-  check_int "nothing is buffered" 0 (Store.Session.buffered_ops d);
-  (* commit on the default session is just the barrier — a no-op here *)
-  Store.Session.commit d;
-  check_bool "default session stays open" true (Store.Session.is_open d);
-  match Store.Session.abort d with
-  | () -> Alcotest.fail "the default session cannot abort"
-  | exception Invalid_argument _ -> ()
+  let r = Store.alloc_record store "A" [| ival 1 |] in
+  let a = Store.alloc_array store "int" [| ival 2 |] in
+  let str = Store.alloc_string store "s" in
+  let w = Store.alloc_weak store (Pvalue.Ref r) in
+  Store.set_root store "r" (Pvalue.Ref r);
+  Store.set_blob store "b" "data";
+  let reads s =
+    let open Store.Session in
+    [
+      ("get", fun () -> ignore (get s r));
+      ("find", fun () -> ignore (find s r));
+      ("is_live", fun () -> ignore (is_live s r));
+      ("class_of", fun () -> ignore (class_of s r));
+      ("get_record", fun () -> ignore (get_record s r));
+      ("get_array", fun () -> ignore (get_array s a));
+      ("get_string", fun () -> ignore (get_string s str));
+      ("get_weak", fun () -> ignore (get_weak s w));
+      ("field", fun () -> ignore (field s r 0));
+      ("elem", fun () -> ignore (elem s a 0));
+      ("array_length", fun () -> ignore (array_length s a));
+      ("string_value", fun () -> ignore (string_value s (Pvalue.Ref str)));
+      ("try_get", fun () -> ignore (try_get s r));
+      ("try_field", fun () -> ignore (try_field s r 0));
+      ("root", fun () -> ignore (root s "r"));
+      ("root_names", fun () -> ignore (root_names s));
+      ("blob", fun () -> ignore (blob s "b"));
+      ("blob_keys", fun () -> ignore (blob_keys s));
+    ]
+  in
+  let live = Store.open_session store in
+  List.iter (fun (_, read) -> read ()) (reads live);
+  Store.Session.abort live;
+  let committed = Store.open_session store in
+  Store.Session.set_root committed "c" (ival 1);
+  Store.Session.commit committed;
+  let aborted = Store.open_session store in
+  Store.Session.set_root aborted "d" (ival 1);
+  Store.Session.abort aborted;
+  List.iter
+    (fun (how, s) ->
+      List.iter
+        (fun (name, read) ->
+          match read () with
+          | () -> Alcotest.failf "%s on a %s session must raise Invalid_argument" name how
+          | exception Invalid_argument _ -> ())
+        (reads s))
+    [ ("committed", committed); ("aborted", aborted) ]
 
 (* -- session stats reflect the snapshot, not the buffer ------------------- *)
 
@@ -337,7 +375,7 @@ let suite =
     test "gc / with_rollback / mark_dirty are session-gated"
       gc_rollback_mark_dirty_are_gated;
     test "closed sessions refuse further use" closed_sessions_refuse_use;
-    test "the default session is direct" default_session_is_direct;
+    test "closed sessions refuse every read" closed_sessions_refuse_every_read;
     test "session stats reflect the snapshot, not the dirty buffer"
       session_stats_reflect_snapshot;
     test "with_session commits on success and aborts on raise"

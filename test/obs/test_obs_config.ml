@@ -18,9 +18,7 @@ let incremental_updates_compose () =
       Store.Config.compaction_limit = 128;
       group_window = 1;
       retry = Some Retry.default_policy;
-      retry_overrides = [];
       breaker = Store.Config.default.Store.Config.breaker;
-      salvage_degrade = Store.Config.default.Store.Config.salvage_degrade;
       backing = None;
       trace_ring = Obs.default_ring_capacity;
       tracing = false;
