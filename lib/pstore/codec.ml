@@ -6,6 +6,7 @@ type writer = Buffer.t
 type reader = {
   data : string;
   mutable pos : int;
+  stop : int;  (* one past the last readable byte *)
 }
 
 exception Decode_error of string
@@ -18,9 +19,13 @@ let contents w = Buffer.contents w
 
 let reset w = Buffer.clear w
 
-let reader data = { data; pos = 0 }
+let reader data = { data; pos = 0; stop = String.length data }
 
-let remaining r = String.length r.data - r.pos
+let reader_sub data off len =
+  if off < 0 || len < 0 || off > String.length data - len then invalid_arg "Codec.reader_sub";
+  { data; pos = off; stop = off + len }
+
+let remaining r = r.stop - r.pos
 
 let at_end r = remaining r = 0
 
@@ -65,7 +70,7 @@ let put_option w put_elem = function
 (* -- reading ------------------------------------------------------------ *)
 
 let get_u8 r =
-  if r.pos >= String.length r.data then decode_error "get_u8: end of input";
+  if r.pos >= r.stop then decode_error "get_u8: end of input";
   let c = Char.code r.data.[r.pos] in
   r.pos <- r.pos + 1;
   c
@@ -128,28 +133,70 @@ let get_option r get_elem =
 
 (* -- CRC-32 (IEEE 802.3 polynomial) -------------------------------------- *)
 
-(* Built eagerly at module init: the first checksum of a process may be
+(* Slicing-by-8: [crc_tables] holds eight 256-entry tables back to back.
+   Table 0 is the classic reflected bytewise table; table k gives a
+   byte's contribution to the CRC after k further zero bytes, i.e.
+   [t_k.(n) = (t_(k-1).(n) lsr 8) lxor t_0.(t_(k-1).(n) land 0xff)].  The
+   main loop folds 8 input bytes per step with one 64-bit load and 8
+   independent lookups; a bytewise loop finishes the last [len mod 8]
+   bytes.  The CRC lives in
+   an unboxed [int] (OCaml ints are 63 bits wide) and is converted to
+   [int32] once, at the end.
+
+   Built eagerly at module init: the first checksum of a process may be
    computed on several pool domains at once (a sharded store's first
    compaction), and forcing one [lazy] from two domains raises
    [CamlinternalLazy.Undefined]. *)
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref (Int32.of_int n) in
-      for _ = 0 to 7 do
-        if Int32.logand !c 1l <> 0l then
-          c := Int32.logxor 0xedb88320l (Int32.shift_right_logical !c 1)
-        else c := Int32.shift_right_logical !c 1
-      done;
-      !c)
+let crc_tables : int array =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done
+  done;
+  t
 
-let crc32 s =
-  let c = ref 0xffffffffl in
-  String.iter
-    (fun ch ->
-      let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xffl) in
-      c := Int32.logxor crc_table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xffffffffl
+(* Table [k], entry [i]; [i] is always a byte, so the index is in range. *)
+let[@inline] crc_tab (t : int array) k i = Array.unsafe_get t ((k lsl 8) lor i)
+
+let crc32_sub s off len =
+  if off < 0 || len < 0 || off > String.length s - len then invalid_arg "Codec.crc32_sub";
+  let t = crc_tables in
+  let stop = off + len in
+  let c = ref 0xffffffff in
+  let i = ref off in
+  while !i + 8 <= stop do
+    (* one 64-bit little-endian load: the low half is xored into the CRC,
+       the high half is looked up as is *)
+    let w = String.get_int64_le s !i in
+    let lo = !c lxor (Int64.to_int w land 0xffffffff) in
+    let hi = Int64.to_int (Int64.shift_right_logical w 32) in
+    c :=
+      crc_tab t 7 (lo land 0xff)
+      lxor crc_tab t 6 ((lo lsr 8) land 0xff)
+      lxor crc_tab t 5 ((lo lsr 16) land 0xff)
+      lxor crc_tab t 4 (lo lsr 24)
+      lxor crc_tab t 3 (hi land 0xff)
+      lxor crc_tab t 2 ((hi lsr 8) land 0xff)
+      lxor crc_tab t 1 ((hi lsr 16) land 0xff)
+      lxor crc_tab t 0 (hi lsr 24);
+    i := !i + 8
+  done;
+  while !i < stop do
+    c := crc_tab t 0 ((!c lxor Char.code (String.unsafe_get s !i)) land 0xff) lxor (!c lsr 8);
+    incr i
+  done;
+  Int32.of_int (!c lxor 0xffffffff)
+
+let crc32 s = crc32_sub s 0 (String.length s)
 
 (* -- checksummed frames ---------------------------------------------------
 

@@ -18,6 +18,13 @@ val reset : writer -> unit
     paths that would otherwise allocate a fresh writer per item. *)
 
 val reader : string -> reader
+
+val reader_sub : string -> int -> int -> reader
+(** [reader_sub s off len] reads only the [len] bytes of [s] starting at
+    [off], without copying them: reads past [off + len] fail as at the
+    end of input.
+    @raise Invalid_argument if the range is not within [s]. *)
+
 val remaining : reader -> int
 val at_end : reader -> bool
 
@@ -50,7 +57,18 @@ val get_array : reader -> (reader -> 'a) -> 'a array
 val get_option : reader -> (reader -> 'a) -> 'a option
 
 val crc32 : string -> int32
-(** CRC-32 checksum (IEEE 802.3 polynomial) of a byte string. *)
+(** CRC-32 checksum (IEEE 802.3 polynomial, reflected, initial value and
+    final xor [0xffffffff]) of a byte string — the checksum of zlib and
+    of every image trailer, image/journal frame and wire frame.
+    [crc32 s = crc32_sub s 0 (String.length s)].  A table-driven
+    slicing-by-8 kernel over an unboxed [int]: allocation-free apart from
+    the result. *)
+
+val crc32_sub : string -> int -> int -> int32
+(** [crc32_sub s off len] is [crc32 (String.sub s off len)] without the
+    copy — for callers that checksum a range of a larger buffer (an image
+    body ahead of its trailer, a journal record inside the file).
+    @raise Invalid_argument if the range is not within [s]. *)
 
 (** {1 Checksummed frames}
 

@@ -150,10 +150,10 @@ let encode { heap; roots; blobs; quarantine } =
 let decode_with_salvage data =
   let open Codec in
   if String.length data < String.length magic + 1 + 4 then image_error "truncated image";
-  let body = String.sub data 0 (String.length data - 4) in
-  let crc_reader = reader (String.sub data (String.length data - 4) 4) in
-  let stored_crc = get_i32 crc_reader in
-  let actual_crc = crc32 body in
+  (* the body is read and checksummed in place: no copy of the image *)
+  let body_len = String.length data - 4 in
+  let stored_crc = get_i32 (reader_sub data body_len 4) in
+  let actual_crc = crc32_sub data 0 body_len in
   let checksum_ok = Int32.equal stored_crc actual_crc in
   let fail_checksum () =
     image_error "checksum mismatch: stored %ld, computed %ld" stored_crc actual_crc
@@ -166,7 +166,7 @@ let decode_with_salvage data =
   let quarantine = Quarantine.create () in
   let salvaged = ref 0 in
   try
-    let r = reader body in
+    let r = reader_sub data 0 body_len in
     let file_magic = get_bytes r (String.length magic) in
     if not (String.equal file_magic magic) then
       if checksum_ok then image_error "bad magic %S" file_magic else fail_checksum ();
@@ -223,7 +223,7 @@ let decode data = fst (decode_with_salvage data)
    name the exact snapshot it extends. *)
 let crc_of_encoded data =
   if String.length data < 4 then image_error "truncated image";
-  Codec.get_i32 (Codec.reader (String.sub data (String.length data - 4) 4))
+  Codec.get_i32 (Codec.reader_sub data (String.length data - 4) 4)
 
 (* Crash-atomic save: write a temp file, fsync it, rename it over the
    target, then fsync the directory so the rename itself is durable.

@@ -110,11 +110,12 @@ let get_batch_ops r =
 (* A record payload is one op, a tag-7 batch of length-prefixed ops, or
    a tag-8 batch that additionally carries the store-level stabilise
    sequence number (sharded stores match batches against the commit
-   marker by this number).  Returns the seq, if any, with the ops. *)
-let decode_record payload =
+   marker by this number).  The payload is the [len] bytes of [data] at
+   [off], decoded in place.  Returns the seq, if any, with the ops. *)
+let decode_record data off len =
   let open Codec in
-  let r = reader payload in
-  let tag = if String.length payload > 0 then Char.code payload.[0] else -1 in
+  let r = reader_sub data off len in
+  let tag = if len > 0 then Char.code data.[off] else -1 in
   let seq, ops =
     if tag = batch_tag then begin
       ignore (get_u8 r);
@@ -247,7 +248,7 @@ let read path =
     then None
     else begin
       let base_crc =
-        Codec.get_i32 (Codec.reader (String.sub data (String.length magic) 4))
+        Codec.get_i32 (Codec.reader_sub data (String.length magic) 4)
       in
       let records = ref [] in
       let batches = ref [] in
@@ -256,22 +257,20 @@ let read path =
       let valid = ref header_size in
       (try
          while not !torn && !pos + 8 <= len do
-           let r = Codec.reader (String.sub data !pos 8) in
+           let r = Codec.reader_sub data !pos 8 in
            let payload_len = Codec.get_int r in
            let crc = Codec.get_i32 r in
            if payload_len < 0 || !pos + 8 + payload_len > len then torn := true
+           else if not (Int32.equal (Codec.crc32_sub data (!pos + 8) payload_len) crc) then
+             torn := true
            else begin
-             let payload = String.sub data (!pos + 8) payload_len in
-             if not (Int32.equal (Codec.crc32 payload) crc) then torn := true
-             else begin
-               let seq, ops = decode_record payload in
-               pos := !pos + 8 + payload_len;
-               valid := !pos;
-               (* every op of a batch shares the batch's end offset: a
-                  truncation point is always a whole-record boundary *)
-               List.iter (fun op -> records := (op, !pos) :: !records) ops;
-               batches := { b_seq = seq; b_ops = ops; b_end = !pos } :: !batches
-             end
+             let seq, ops = decode_record data (!pos + 8) payload_len in
+             pos := !pos + 8 + payload_len;
+             valid := !pos;
+             (* every op of a batch shares the batch's end offset: a
+                truncation point is always a whole-record boundary *)
+             List.iter (fun op -> records := (op, !pos) :: !records) ops;
+             batches := { b_seq = seq; b_ops = ops; b_end = !pos } :: !batches
            end
          done;
          if !pos < len && not !torn then torn := true

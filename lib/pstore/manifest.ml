@@ -222,18 +222,17 @@ module Marker = struct
         let stop = ref false in
         (try
            while (not !stop) && !pos + 8 <= len do
-             let r = Codec.reader (String.sub data !pos 8) in
+             let r = Codec.reader_sub data !pos 8 in
              let payload_len = Codec.get_int r in
              let crc = Codec.get_i32 r in
              if payload_len < 0 || !pos + 8 + payload_len > len then stop := true
+             else if not (Int32.equal (Codec.crc32_sub data (!pos + 8) payload_len) crc) then
+               stop := true
              else begin
-               let payload = String.sub data (!pos + 8) payload_len in
-               if not (Int32.equal (Codec.crc32 payload) crc) then stop := true
-               else begin
-                 committed := Int64.to_int (Codec.get_i64 (Codec.reader payload));
-                 pos := !pos + 8 + payload_len;
-                 valid := !pos
-               end
+               let payload = Codec.reader_sub data (!pos + 8) payload_len in
+               committed := Int64.to_int (Codec.get_i64 payload);
+               pos := !pos + 8 + payload_len;
+               valid := !pos
              end
            done
          with Codec.Decode_error _ -> ());

@@ -923,7 +923,7 @@ let size store = Heap.size store.heap
 (* Interned string allocation would be possible, but Java semantics gives
    distinct identity to non-literal strings; we allocate fresh. *)
 let string_value store = function
-  | Pvalue.Ref oid -> Heap.get_string store.heap oid
+  | Pvalue.Ref oid -> get_string store oid
   | v ->
     raise (Heap.Heap_error ("expected a string reference, got " ^ Pvalue.to_string v))
 
@@ -2493,6 +2493,7 @@ module Session = struct
   (* -- snapshot introspection --------------------------------------------- *)
 
   let live_count s =
+    check_live s "live_count";
     (* no entry is ever removed while sessions are open (GC is gated),
        so the visible set is a subset of the live heap *)
     let n = ref 0 in
@@ -2501,7 +2502,9 @@ module Session = struct
       s.s_store.heap;
     !n
 
-  let stats s = { (stats s.s_store) with live = live_count s }
+  let stats s =
+    check_live s "stats";
+    { (stats s.s_store) with live = live_count s }
 
   (* The session's full visible state as store contents — the same shape
      [Store.contents] has, so [Image.encode] fingerprints a snapshot

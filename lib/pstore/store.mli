@@ -260,8 +260,9 @@ val array_length : t -> Oid.t -> int
 val size : t -> int
 
 val string_value : t -> Pvalue.t -> string
-(** Dereference a value expected to be a string reference.
-    @raise Heap.Heap_error otherwise. *)
+(** Dereference a value expected to be a string reference, through
+    {!get_string}: a quarantined string raises [Quarantine.Quarantined].
+    @raise Heap.Heap_error if the value is not a string reference. *)
 
 (** {1 Salvage reads and quarantine}
 
@@ -545,7 +546,11 @@ module Session : sig
       residue by construction: nothing ever left the buffer.
       @raise Invalid_argument on an already-closed session. *)
 
-  (** {2 Introspection} *)
+  (** {2 Introspection}
+
+      Like the reads, these refuse a closed session: each raises
+      [Invalid_argument] once the session is committed or aborted,
+      rather than answering from the live heap. *)
 
   val live_count : t -> int
   (** Objects visible to this session's snapshot. *)

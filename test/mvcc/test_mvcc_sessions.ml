@@ -272,9 +272,9 @@ let closed_sessions_refuse_use () =
   | () -> Alcotest.fail "an aborted session must refuse writes"
   | exception Invalid_argument _ -> ()
 
-(* Every function in store.mli's "Reads" group refuses a closed session,
-   whichever way it was closed — none may quietly answer from the live
-   heap.  Each read is first shown to answer on a live session, so the
+(* Every function in store.mli's "Reads" and "Introspection" groups
+   refuses a closed session, whichever way it was closed — none may
+   quietly answer from the live heap.  Each read is first shown to answer on a live session, so the
    refusal is the closed state's doing, not a bad argument's. *)
 let closed_sessions_refuse_every_read () =
   let store = Store.create () in
@@ -305,6 +305,9 @@ let closed_sessions_refuse_every_read () =
       ("root_names", fun () -> ignore (root_names s));
       ("blob", fun () -> ignore (blob s "b"));
       ("blob_keys", fun () -> ignore (blob_keys s));
+      ("live_count", fun () -> ignore (live_count s));
+      ("stats", fun () -> ignore (stats s));
+      ("snapshot_contents", fun () -> ignore (snapshot_contents s));
     ]
   in
   let live = Store.open_session store in

@@ -273,6 +273,23 @@ let quarantined_refs_are_not_fatal () =
   (* a store whose only blemish is quarantine must not raise *)
   Integrity.check_exn store
 
+(* The top-level string dereference is a read like any other: once the
+   string's oid is quarantined it raises the typed error, exactly as
+   [Store.get_string] does, instead of handing back the suspect bytes. *)
+let string_value_refuses_quarantined () =
+  let store = Store.create () in
+  let s = Store.alloc_string store "suspect" in
+  Alcotest.(check string) "readable before" "suspect" (Store.string_value store (Pvalue.Ref s));
+  Store.quarantine_oid store s "test isolation";
+  let refuses name read =
+    match read () with
+    | (_ : string) -> Alcotest.failf "%s must refuse a quarantined string" name
+    | exception Quarantine.Quarantined (o, _) ->
+      check_bool (name ^ " names the oid") true (Oid.equal o s)
+  in
+  refuses "get_string" (fun () -> Store.get_string store s);
+  refuses "string_value" (fun () -> Store.string_value store (Pvalue.Ref s))
+
 let bad_weak_targets_reported () =
   let store = Store.create () in
   let target = Store.alloc_string store "weakly held" in
@@ -308,5 +325,6 @@ let suite =
     test "close and crash are idempotent" close_and_crash_are_idempotent;
     test "blob anchors are checked" blob_anchors_checked;
     test "quarantined refs are not fatal" quarantined_refs_are_not_fatal;
+    test "string_value refuses a quarantined string" string_value_refuses_quarantined;
     test "bad weak targets are reported" bad_weak_targets_reported;
   ]

@@ -88,6 +88,77 @@ let crc32_known_values () =
   Alcotest.(check int32) "empty" 0l (Codec.crc32 "");
   check_bool "differs" true (Codec.crc32 "a" <> Codec.crc32 "b")
 
+(* The plain bytewise CRC-32 the slicing-by-8 kernel must agree with:
+   reflected IEEE polynomial, one shift per bit, no table. *)
+let reference_crc32 s off len =
+  let c = ref 0xffffffff in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xffffffff)
+
+let random_string ~seed n =
+  let rng = Random.State.make [| seed |] in
+  String.init n (fun _ -> Char.chr (Random.State.int rng 256))
+
+(* Every length 0-64 at every offset 0-7 covers the 8-byte main loop,
+   its bytewise tail, and unaligned starts; all 256 one-byte strings
+   cover every table-0 entry; 1 MiB of seeded noise covers the rest. *)
+let crc32_matches_reference () =
+  let buf = random_string ~seed:7 (64 + 8) in
+  for off = 0 to 7 do
+    for len = 0 to 64 do
+      let expect = reference_crc32 buf off len in
+      let name = Printf.sprintf "off %d len %d" off len in
+      Alcotest.(check int32) (name ^ " sub") expect (Codec.crc32_sub buf off len);
+      Alcotest.(check int32) (name ^ " whole") expect (Codec.crc32 (String.sub buf off len))
+    done
+  done;
+  for b = 0 to 255 do
+    let s = String.make 1 (Char.chr b) in
+    Alcotest.(check int32) (Printf.sprintf "byte %d" b) (reference_crc32 s 0 1) (Codec.crc32 s)
+  done;
+  let big = random_string ~seed:42 (1 lsl 20) in
+  let expect = reference_crc32 big 0 (String.length big) in
+  Alcotest.(check int32) "1 MiB" expect (Codec.crc32 big);
+  Alcotest.(check int32) "1 MiB sub" expect (Codec.crc32_sub big 0 (String.length big))
+
+let crc32_sub_rejects_bad_ranges () =
+  List.iter
+    (fun (off, len) ->
+      match Codec.crc32_sub "abcd" off len with
+      | _ -> Alcotest.failf "range (%d, %d) of a 4-byte string accepted" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 1); (0, -1); (0, 5); (4, 1); (5, 0) ];
+  Alcotest.(check int32) "empty range at the end" 0l (Codec.crc32_sub "abcd" 4 0)
+
+(* On-disk compatibility: a fixed image encodes to the same trailer CRC
+   (and length) as it did under the bytewise Int32 kernel every existing
+   store was written with. *)
+let image_trailer_crc_is_pinned () =
+  let heap = Heap.create () in
+  let oid = Oid.of_int in
+  Heap.insert heap (oid 1) (Heap.Str "persistent");
+  Heap.insert heap (oid 2)
+    (Heap.Record { Heap.class_name = "Person"; fields = [| Pvalue.Ref (oid 1); Pvalue.Int 42l |] });
+  Heap.insert heap (oid 3)
+    (Heap.Array { Heap.elem_type = "int"; elems = [| Pvalue.Int 1l; Pvalue.Int (-2l) |] });
+  Heap.set_next_oid heap 4;
+  let roots = Roots.create () in
+  Roots.set roots "p" (Pvalue.Ref (oid 2));
+  let blobs = Hashtbl.create 1 in
+  Hashtbl.replace blobs "class:Person" (String.init 100 (fun i -> Char.chr (i * 37 land 0xff)));
+  let quarantine = Quarantine.create () in
+  Quarantine.add quarantine (oid 3) "pinned";
+  let data = Image.encode { Image.heap; roots; blobs; quarantine } in
+  check_int "image length" 311 (String.length data);
+  let trailer = Codec.get_i32 (Codec.reader_sub data (String.length data - 4) 4) in
+  Alcotest.(check int32) "trailer crc" 0x2f01758bl trailer;
+  ignore (Image.decode data)
+
 (* Every strict prefix of an encoded value must fail with Decode_error —
    never an unhandled exception, never a silently wrong value. *)
 let pvalue_truncation_at_every_offset () =
@@ -192,6 +263,9 @@ let suite =
     test "truncated input fails cleanly" truncated_input_fails;
     test "invalid boolean byte fails" bad_bool_fails;
     test "crc32 known values" crc32_known_values;
+    test "crc32 matches a bytewise reference" crc32_matches_reference;
+    test "crc32_sub rejects bad ranges" crc32_sub_rejects_bad_ranges;
+    test "image trailer crc is pinned" image_trailer_crc_is_pinned;
     test "pvalue truncation at every offset" pvalue_truncation_at_every_offset;
     test "image truncation and corruption detected" image_truncation_and_corruption;
     test "image salvage is precise" image_salvage_is_precise;
